@@ -222,7 +222,7 @@ def _cmd_simulate(args):
         worlds = enumerate_worlds(model, scope)
     except IllFormedModelError as exc:
         return _report_errors(exc.diagnostics), ""
-    except ScopeTooLargeError as exc:
+    except (ScopeTooLargeError, ValueError) as exc:
         raise _Failure(2, str(exc))
     if args.format == "json":
         return 0, _dump([w.to_dict() for w in worlds])
@@ -240,7 +240,7 @@ def _cmd_lint(args):
         diags = lint(model, scope)
     except IllFormedModelError as exc:
         return _report_errors(exc.diagnostics), ""
-    except ScopeTooLargeError as exc:
+    except (ScopeTooLargeError, ValueError) as exc:
         raise _Failure(2, str(exc))
     if args.format == "json":
         return 0, _dump([d.to_dict() for d in diags])

@@ -213,7 +213,12 @@ class GeneralizationSet:
 
 @dataclass
 class Model:
-    """A resolved conceptual model. Treat as immutable."""
+    """A resolved conceptual model. Treat as immutable.
+
+    Derived data is memoized on the instance: the taxonomy maps below and
+    the last scope's world list (see worlds.enumerate_worlds). Mutating a
+    model after either is computed leaves them stale.
+    """
 
     name: str
     classifiers: dict[str, Classifier] = field(default_factory=dict)

@@ -394,31 +394,54 @@ def enumerate_worlds(
     """All pairwise non-isomorphic worlds within scope, canonically ordered.
 
     Exhaustive whenever the total count fits under scope.world_limit; the
-    list is truncated to world_limit otherwise.
+    list is truncated to world_limit otherwise. Queries on one Model instance
+    and scope (this, find_witness, check_metaproperties) share one
+    enumeration; world_limit only slices it.
     """
     scope = scope or DEFAULT_SCOPE
     worlds = _enumerate_all(model, scope, max_total_individuals)
-    return worlds[: scope.world_limit]
+    return list(worlds[: scope.world_limit])
 
 
-def _enumerate_all(model: Model, scope: Scope, max_total: int) -> list[InstanceWorld]:
-    _check_model(model)
-    prep = _Prep(model, scope)
-    caps = {b: scope.count_for_base(b) for b in prep.bases}
-    total_cap = sum(caps.values())
+_WORLDS_MEMO = "_worlds_memo"
+
+
+def _check_cap(total_cap: int, max_total: int):
     if total_cap > max_total:
         raise ScopeTooLargeError(
             f"scope admits up to {total_cap} individuals; the hard cap is {max_total}"
         )
+
+
+def _enumerate_all(model: Model, scope: Scope, max_total: int) -> tuple[InstanceWorld, ...]:
+    """Every world of (model, scope), enumerated once per Model instance and scope.
+
+    The last scope's worlds stay in the model's __dict__ next to its
+    cached_property maps (so ==, repr and output are unaffected), keyed on
+    everything in the scope but world_limit. The hard cap is checked on
+    every call; the model is checked only when it is enumerated.
+    """
+    # values keep their type in the key: 1 == 1.0, yet they make different worlds
+    values = tuple((q, tuple((type(v), v) for v in vs)) for q, vs in scope.quality_values)
+    key = (scope.per_classifier, scope.default_count, values)
+    memo = model.__dict__.get(_WORLDS_MEMO)
+    if memo is not None and memo[0] == key:
+        _check_cap(memo[1], max_total)
+        return memo[2]
+    _check_model(model)
+    prep = _Prep(model, scope)
+    caps = {b: scope.count_for_base(b) for b in prep.bases}
+    total_cap = sum(caps.values())
+    _check_cap(total_cap, max_total)
     found: dict[tuple, InstanceWorld] = {}
     bases = prep.bases
     for counts in product(*(range(caps[b] + 1) for b in bases)):
         count_of = dict(zip(bases, counts))
-        for world in _worlds_for_counts(prep, count_of):
-            key, canon = world
-            found.setdefault(key, canon)
-    ordered = sorted(found.items(), key=lambda kv: kv[0])
-    return [w for _, w in ordered]
+        for canon_key, canon in _worlds_for_counts(prep, count_of):
+            found.setdefault(canon_key, canon)
+    worlds = tuple(w for _, w in sorted(found.items(), key=lambda kv: kv[0]))
+    model.__dict__[_WORLDS_MEMO] = (key, total_cap, worlds)
+    return worlds
 
 
 def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
@@ -998,7 +1021,8 @@ def find_witness(model: Model, scope: Scope | None, goal: Goal) -> InstanceWorld
     """Canonically-first in-scope world satisfying the goal, or None.
 
     Exhaustive regardless of scope.world_limit — a witness search must not
-    miss worlds the limit would truncate.
+    miss worlds the limit would truncate. Searches on one Model instance and
+    scope share one enumeration with the other world queries.
     """
     scope = scope or DEFAULT_SCOPE
     for world in _enumerate_all(model, scope, 14):
@@ -1132,7 +1156,11 @@ def check_metaproperties(
     *,
     strict: bool = True,
 ) -> MetaReport:
-    """Test irreflexivity/asymmetry/transitivity over every in-scope world."""
+    """Test irreflexivity/asymmetry/transitivity over every in-scope world.
+
+    Checks on one Model instance and scope share one enumeration with the
+    other world queries, whatever the relation or strictness.
+    """
     scope = scope or DEFAULT_SCOPE
     rel = model.relations.get(relation)
     if rel is None:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ontounpack.worlds
 from ontounpack import InstanceWorld, Model, parse_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "examples"
@@ -37,6 +38,20 @@ def relator_model() -> Model:
 @pytest.fixture(scope="session")
 def event_model() -> Model:
     return load_fixture("healthcare_event.onto")
+
+
+@pytest.fixture
+def enumerations(monkeypatch) -> list[Model]:
+    """Models enumerated during the test: each enumeration checks its model once."""
+    seen: list[Model] = []
+    real_check = ontounpack.worlds.check
+
+    def counting_check(model):
+        seen.append(model)
+        return real_check(model)
+
+    monkeypatch.setattr(ontounpack.worlds, "check", counting_check)
+    return seen
 
 
 def isomorphic(w1: InstanceWorld, w2: InstanceWorld) -> bool:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ontounpack
 from ontounpack import Model, parse_text
 from ontounpack.cli import main
 
@@ -214,6 +217,17 @@ def test_quality_values_flag(capsys):
     assert seen == {40, 41}
 
 
+@pytest.mark.parametrize("command", ["simulate", "lint"])
+def test_quality_value_outside_its_space_exits_2(capsys, command):
+    code, out, err = run(
+        capsys, command, RELATOR, "--scope", "Person=1",
+        "--quality-values", "Severity={500}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "scope value 500 outside the space of quality 'Severity'" in err
+
+
 def test_bad_scope_grammar_exits_2(capsys):
     code, out, err = run(capsys, "simulate", RELATOR, "--scope", "Person=two")
     assert code == 2
@@ -329,11 +343,14 @@ def test_diff_reruns_are_byte_identical(capsys):
 
 
 def test_main_without_subcommand_exits_2():
+    # the child imports the same ontounpack as this suite, installed or not
+    package_root = str(Path(ontounpack.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from ontounpack.cli import main; sys.exit(main())"],
         input="",
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 2  # no subcommand given
 

@@ -7,6 +7,8 @@ from ontounpack import (
     IllFormedModelError,
     Scope,
     Severity,
+    check_metaproperties,
+    find_witness,
     goal_holds,
     lint,
     validate_world,
@@ -111,3 +113,56 @@ def test_lint_is_deterministic(event_model):
     assert [(d.rule_id, d.message, d.witness) for d in a] == [
         (d.rule_id, d.message, d.witness) for d in b
     ]
+
+
+CLINIC = (
+    "model Clinic\n\n"
+    "kind Person\n"
+    "event Treatment\n"
+    "event Consultation\n"
+    "historicalRoleMixin HealthcareProvider\n"
+    "historicalRole Patient specializes Person\n"
+    "historicalRole Consultee specializes Person\n"
+    "historicalRole IndividualHealthcareProvider specializes Person, HealthcareProvider\n"
+    "mode PathologicalCondition\n"
+    "quality Severity\n"
+    "space Severity ordered 0..100\n"
+    "participation participatesPatient : Treatment [1..*] -- [1..1] Patient\n"
+    "participation participatesProvider : Treatment [1..*] -- [1..*] HealthcareProvider\n"
+    "participation consultedPatient : Consultation [1..*] -- [1..1] Consultee\n"
+    "participation consultedProvider : Consultation [1..*] -- [1..1] HealthcareProvider\n"
+    "characterization hasCondition : PathologicalCondition [0..*] -- [1..1] Person\n"
+    "characterization hasSeverity : Severity [1..1] -- [1..1] PathologicalCondition\n"
+    "comparative moreSevereThan : PathologicalCondition -- PathologicalCondition via Severity desc\n"
+)
+
+CLINIC_SCOPE = Scope(per_classifier={
+    "Person": 1, "Treatment": 1, "Consultation": 1, "PathologicalCondition": 2,
+})
+
+
+def test_lint_enumerates_once_for_all_its_queries(enumerations):
+    # two AP1 witness searches and one AP2 metaproperty check, one world space
+    model = parse_ok(CLINIC)
+    diags = lint(model, CLINIC_SCOPE)
+    assert [(d.rule_id, d.severity) for d in diags] == [
+        ("AP1", Severity.WARNING), ("AP1", Severity.WARNING), ("AP2", Severity.WARNING),
+    ]
+    assert len(enumerations) == 1 and enumerations[0] is model
+
+
+def test_lint_findings_match_queries_on_fresh_models():
+    # each finding equals its query asked alone on a separately parsed model
+    diags = lint(parse_ok(CLINIC), CLINIC_SCOPE)
+    for d in ap(diags, "AP1"):
+        fresh = parse_ok(CLINIC)
+        m1, m2 = (fresh.relations[name] for name in d.related)
+        goal = Goal(
+            typings=(("r", m1.source), ("x", m1.target), ("x", m2.target)),
+            links=((m1.name, "r", "x"), (m2.name, "r", "x")),
+        )
+        assert d.witness == find_witness(fresh, CLINIC_SCOPE, goal)
+    (tie,) = ap(diags, "AP2")
+    report = check_metaproperties(parse_ok(CLINIC), "moreSevereThan", CLINIC_SCOPE,
+                                  strict=False)
+    assert (tie.witness, tie.related) == report.counterexample("asymmetric")

@@ -4,12 +4,16 @@ import pytest
 
 from ontounpack import (
     EMPTY_WORLD,
+    Classifier,
     Goal,
     IllFormedModelError,
     InstanceWorld,
     MissingQualityValueError,
     Scope,
     ScopeTooLargeError,
+    Stereotype,
+    UnpackPlan,
+    apply_plan,
     check_metaproperties,
     enumerate_worlds,
     eval_comparative,
@@ -329,3 +333,79 @@ def test_default_quality_values_are_lowest_three():
     worlds = enumerate_worlds(m, unlimited(Person=1, PathologicalCondition=1))
     seen = {v for w in worlds for _, _, v in w.value_rows}
     assert seen == {0, 1, 2}
+
+
+# --- one enumeration per (model, scope) ----------------------------------------
+
+
+def test_metaproperty_checks_share_one_enumeration(enumerations):
+    scope = unlimited(Person=2, PathologicalCondition=3)
+    model = parse_ok(SEVERITY)
+    asks = [("moreSevereThan", True), ("moreSeriousThan", True), ("moreSevereThan", False)]
+    reports = [check_metaproperties(model, rel, scope, strict=strict) for rel, strict in asks]
+    assert enumerations == [model]
+    fresh = [check_metaproperties(parse_ok(SEVERITY), rel, scope, strict=strict)
+             for rel, strict in asks]
+    assert reports == fresh
+    assert not reports[2].asymmetric
+
+
+def test_world_limit_slices_the_shared_list(enumerations):
+    per = {"Person": 2, "PathologicalCondition": 3}
+    model = parse_ok(SEVERITY)
+    assert len(enumerate_worlds(model, Scope(per_classifier=per, world_limit=1))) == 1
+    full = enumerate_worlds(model, Scope(per_classifier=per, world_limit=10**9))
+    assert len(full) == 45
+    assert enumerations == [model]
+    assert full == enumerate_worlds(parse_ok(SEVERITY), unlimited(**per))
+
+
+def test_each_scope_gets_its_own_worlds(enumerations):
+    model = parse_ok(TOY)
+    counts = [len(enumerate_worlds(model, unlimited(Person=n))) for n in (2, 3, 2)]
+    assert counts == [6, 10, 6]
+    assert len(enumerations) == 3  # only the last scope's list is kept
+
+
+def test_equal_values_of_another_type_get_their_own_worlds():
+    # a quality with no declared space takes the scope's values as given
+    model = parse_ok(
+        "model Moods\n\nkind Person\nquality Mood\n"
+        "characterization hasMood : Mood [1..1] -- [1..1] Person\n"
+    )
+    for value in (1, 1.0):
+        worlds = enumerate_worlds(model, Scope(per_classifier={"Person": 1},
+                                               quality_values={"Mood": (value,)}))
+        (seen,) = [v for w in worlds for _, _, v in w.value_rows]
+        assert type(seen) is type(value)
+
+
+def test_mutating_a_returned_list_leaves_the_next_result_alone():
+    model = parse_ok(TOY)
+    scope = unlimited(Person=2)
+    worlds = enumerate_worlds(model, scope)
+    expected = list(worlds)
+    worlds.clear()
+    assert enumerate_worlds(model, scope) == expected
+
+
+def test_hard_cap_applies_to_an_enumerated_scope():
+    model = parse_ok(TOY)
+    scope = unlimited(Person=3)
+    assert len(enumerate_worlds(model, scope)) == 10
+    with pytest.raises(ScopeTooLargeError):
+        enumerate_worlds(model, scope, max_total_individuals=2)
+
+
+def test_a_model_from_apply_plan_gets_its_own_worlds():
+    model = parse_ok(TOY)
+    scope = unlimited(Person=1)
+    assert len(enumerate_worlds(model, scope)) == 3
+    plan = UnpackPlan(
+        target_relation="",
+        new_classifiers=(Classifier("Sad", Stereotype.PHASE, ("Person",)),),
+    )
+    grown = apply_plan(model, plan)
+    expected = enumerate_worlds(parse_ok(TOY + "phase Sad specializes Person\n"), scope)
+    assert len(expected) > 3
+    assert enumerate_worlds(grown, scope) == expected
