@@ -64,6 +64,13 @@ def _load_model(path: str) -> Model:
     return result
 
 
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise _Failure(2, f"bad {option}: integer of {len(text)} digits is too long") from None
+
+
 _QV_ENTRY = re.compile(r"([A-Za-z_]\w*)=\{([^{}]*)\}")
 
 
@@ -78,7 +85,7 @@ def _parse_quality_values(text: str) -> dict[str, tuple]:
             tok = tok.strip()
             if not tok:
                 continue
-            values.append(int(tok) if re.fullmatch(r"-?\d+", tok) else tok)
+            values.append(_int(tok, "--quality-values") if re.fullmatch(r"-?\d+", tok) else tok)
         out[name] = tuple(values)
     return out
 
@@ -92,7 +99,7 @@ def _build_scope(args) -> Scope:
         name, eq, num = part.partition("=")
         if not eq or not re.fullmatch(r"\d+", num.strip()):
             raise _Failure(2, f"bad --scope entry '{part}' (expected Name=INT)")
-        per[name.strip()] = int(num)
+        per[name.strip()] = _int(num, "--scope")
     kwargs = {}
     if getattr(args, "scope_default", None) is not None:
         kwargs["default_count"] = args.scope_default
@@ -155,7 +162,8 @@ def _cmd_unpack(args):
             m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.space)
             if not m:
                 raise _Failure(2, f"bad --space '{args.space}' (expected LO..HI)")
-            space = QualitySpace(owner=args.quality, ordered=(int(m.group(1)), int(m.group(2))))
+            lo, hi = (_int(bound, "--space") for bound in m.groups())
+            space = QualitySpace(owner=args.quality, ordered=(lo, hi))
             plan = unpack_comparative(
                 model, args.relation, args.quality, space, Direction(args.direction)
             )

@@ -197,7 +197,10 @@ class QualitySpace:
 
     def contains(self, value) -> bool:
         if self.ordered is not None:
-            return isinstance(value, int) and self.ordered[0] <= value <= self.ordered[1]
+            return (
+                isinstance(value, int) and not isinstance(value, bool)
+                and self.ordered[0] <= value <= self.ordered[1]
+            )
         return value in (self.labels or ())
 
 

@@ -9,20 +9,18 @@ from __future__ import annotations
 import json
 
 from .core import (
+    DEFAULT_SPAN,
     Classifier,
-    Derivation,
     Direction,
-    GeneralizationSet,
     Model,
     Multiplicity,
     QualitySpace,
     RelationDecl,
     RelationStereotype,
+    SourceSpan,
     Stereotype,
-    ViaQuality,
 )
-from .parser import ParseError
-from .core import SourceSpan
+from .parser import ParseError, _RawClassifier, _RawGenset, _RawRelation, _RawSpace, _resolve
 
 
 def _mult_dict(m: Multiplicity | None):
@@ -72,7 +70,7 @@ def emit_json(model: Model) -> bytes:
             {
                 "name": g.name,
                 "general": g.general,
-                "specifics": sorted(g.specifics),
+                "specifics": list(g.specifics),
                 "isDisjoint": g.is_disjoint,
                 "isComplete": g.is_complete,
             }
@@ -107,7 +105,25 @@ def _opt(obj: dict, path: str, key: str, typ, what: str, default):
     return _need(obj, path, key, typ, what)
 
 
-def _load_mult(obj, path: str) -> Multiplicity:
+def _objects(doc: dict, key: str):
+    """(path, object) for each entry of an optional top-level array."""
+    for i, raw in enumerate(_opt(doc, "$", key, list, "array", [])):
+        path = f"{key}[{i}]"
+        if not isinstance(raw, dict):
+            raise _Bad(path, "expected object")
+        yield path, raw
+
+
+def _names(values: list, path: str) -> list[tuple[str, SourceSpan]]:
+    for j, v in enumerate(values):
+        if not isinstance(v, str):
+            raise _Bad(f"{path}[{j}]", "expected string")
+    return [(v, DEFAULT_SPAN) for v in values]
+
+
+def _load_mult(obj, path: str) -> Multiplicity | None:
+    if obj is None:
+        return None
     if not isinstance(obj, dict):
         raise _Bad(path, "expected multiplicity object")
     lo = _need(obj, path, "min", int, "integer")
@@ -129,179 +145,92 @@ def _load_enum(enum_cls, raw, path: str):
         raise _Bad(path, f"unknown {enum_cls.__name__.lower()} {raw!r}") from None
 
 
+def _load_classifier(raw: dict, path: str) -> _RawClassifier:
+    name = _need(raw, path, "name", str, "string")
+    stereo = _load_enum(Stereotype, _need(raw, path, "stereotype", str, "string"),
+                        f"{path}.stereotype")
+    parents = _names(_opt(raw, path, "parents", list, "array", []), f"{path}.parents")
+    abstract = _opt(raw, path, "isAbstract", bool, "boolean", False)
+    return _RawClassifier(stereo, name, parents, DEFAULT_SPAN, abstract)
+
+
+def _load_relation(raw: dict, path: str) -> _RawRelation:
+    name = _need(raw, path, "name", str, "string")
+    stereo = _load_enum(RelationStereotype, _need(raw, path, "stereotype", str, "string"),
+                        f"{path}.stereotype")
+    src = _need(raw, path, "source", str, "string")
+    tgt = _need(raw, path, "target", str, "string")
+    smult = _load_mult(raw.get("sourceMult"), f"{path}.sourceMult")
+    tmult = _load_mult(raw.get("targetMult"), f"{path}.targetMult")
+    derived = None
+    dobj = _opt(raw, path, "derivedFrom", dict, "object", None)
+    if dobj is not None:
+        dpath = f"{path}.derivedFrom"
+        relator = _need(dobj, dpath, "relator", str, "string")
+        dmult = _load_mult(_need(dobj, dpath, "mult", dict, "object"), f"{dpath}.mult")
+        derived = (relator, DEFAULT_SPAN, dmult)
+    via = None
+    vobj = _opt(raw, path, "viaQuality", dict, "object", None)
+    if vobj is not None:
+        vpath = f"{path}.viaQuality"
+        quality = _need(vobj, vpath, "quality", str, "string")
+        direction = _load_enum(Direction, _need(vobj, vpath, "direction", str, "string"),
+                               f"{vpath}.direction")
+        via = (quality, DEFAULT_SPAN, direction)
+    return _RawRelation(stereo, name, (src, DEFAULT_SPAN), (tgt, DEFAULT_SPAN),
+                        smult, tmult, derived, via, DEFAULT_SPAN)
+
+
+def _load_genset(raw: dict, path: str) -> _RawGenset:
+    name = _need(raw, path, "name", str, "string")
+    general = _need(raw, path, "general", str, "string")
+    specifics = _names(_need(raw, path, "specifics", list, "array"), f"{path}.specifics")
+    disjoint = _opt(raw, path, "isDisjoint", bool, "boolean", False)
+    complete = _opt(raw, path, "isComplete", bool, "boolean", False)
+    return _RawGenset(name, (general, DEFAULT_SPAN), specifics, disjoint, complete, DEFAULT_SPAN)
+
+
+def _load_space(raw: dict, path: str) -> _RawSpace:
+    owner = _need(raw, path, "owner", str, "string")
+    kind = _need(raw, path, "kind", str, "string")
+    if kind == "ordered":
+        lo = _need(raw, path, "lo", int, "integer")
+        hi = _need(raw, path, "hi", int, "integer")
+        return _RawSpace(owner, (lo, hi), None, DEFAULT_SPAN)
+    if kind == "nominal":
+        labels = _names(_need(raw, path, "labels", list, "array"), f"{path}.labels")
+        return _RawSpace(owner, None, tuple(lab for lab, _ in labels), DEFAULT_SPAN)
+    raise _Bad(f"{path}.kind", "expected 'ordered' or 'nominal'")
+
+
 def load_json(data: bytes) -> Model | ParseError:
     """Decode interchange JSON into a Model, or a single ParseError.
 
-    The error message carries the JSON path of the offending field; the span
-    is degenerate (1:1) since JSON input has no meaningful DSL position.
+    Only the JSON shape is checked here: value types, field presence, enum
+    values and multiplicity objects. Those errors carry the JSON path of the
+    offending field. The declarations then go through the DSL parser's
+    resolver, so JSON obeys the same declaration rules as DSL text; those
+    errors name the declaration they concern. The span is degenerate (1:1)
+    since JSON input has no meaningful DSL position.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return ParseError(SourceSpan(1, 1, 0), f"invalid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers bad UTF-8 and numbers longer than the
+        # interpreter converts; RecursionError comes from deep nesting
+        return ParseError(DEFAULT_SPAN, f"invalid JSON: {exc}")
     try:
         if not isinstance(doc, dict):
             raise _Bad("$", "expected top-level object")
         name = _need(doc, "$", "name", str, "string")
-        classifiers: dict[str, Classifier] = {}
-        for i, raw in enumerate(_opt(doc, "$", "classifiers", list, "array", [])):
-            path = f"classifiers[{i}]"
-            if not isinstance(raw, dict):
-                raise _Bad(path, "expected object")
-            cname = _need(raw, path, "name", str, "string")
-            stereo = _load_enum(Stereotype, _need(raw, path, "stereotype", str, "string"),
-                                f"{path}.stereotype")
-            parents = _opt(raw, path, "parents", list, "array", [])
-            for j, p in enumerate(parents):
-                if not isinstance(p, str):
-                    raise _Bad(f"{path}.parents[{j}]", "expected string")
-            abstract = _opt(raw, path, "isAbstract", bool, "boolean", False)
-            if cname in classifiers:
-                raise _Bad(path, f"duplicate classifier name '{cname}'")
-            classifiers[cname] = Classifier(cname, stereo, tuple(parents), abstract)
-        for cname, cls in classifiers.items():
-            for p in cls.parents:
-                if p not in classifiers:
-                    raise _Bad(f"classifiers['{cname}'].parents", f"unknown classifier '{p}'")
-        state: dict[str, int] = {}
-
-        def cyclic(n: str) -> bool:
-            if state.get(n) == 2:
-                return False
-            if state.get(n) == 1:
-                return True
-            state[n] = 1
-            hit = any(cyclic(par) for par in classifiers[n].parents)
-            state[n] = 2
-            return hit
-
-        for cname in sorted(classifiers):
-            if state.get(cname) is None and cyclic(cname):
-                raise _Bad(f"classifiers['{cname}']", f"specialization cycle through '{cname}'")
-
-        relations: dict[str, RelationDecl] = {}
-        for i, raw in enumerate(_opt(doc, "$", "relations", list, "array", [])):
-            path = f"relations[{i}]"
-            if not isinstance(raw, dict):
-                raise _Bad(path, "expected object")
-            rname = _need(raw, path, "name", str, "string")
-            stereo = _load_enum(RelationStereotype, _need(raw, path, "stereotype", str, "string"),
-                                f"{path}.stereotype")
-            src = _need(raw, path, "source", str, "string")
-            tgt = _need(raw, path, "target", str, "string")
-            for end in (src, tgt):
-                if end not in classifiers:
-                    raise _Bad(path, f"unknown classifier '{end}'")
-            smult = raw.get("sourceMult")
-            tmult = raw.get("targetMult")
-            smult = None if smult is None else _load_mult(smult, f"{path}.sourceMult")
-            tmult = None if tmult is None else _load_mult(tmult, f"{path}.targetMult")
-            comparative = stereo is RelationStereotype.COMPARATIVE
-            if comparative and (smult is not None or tmult is not None):
-                raise _Bad(path, "comparative relations carry no multiplicities")
-            if not comparative and (smult is None or tmult is None):
-                raise _Bad(path, "relation needs multiplicities on both ends")
-            derived = None
-            if raw.get("derivedFrom") is not None:
-                dpath = f"{path}.derivedFrom"
-                dobj = raw["derivedFrom"]
-                if not isinstance(dobj, dict):
-                    raise _Bad(dpath, "expected object")
-                drel = _need(dobj, dpath, "relator", str, "string")
-                if stereo is not RelationStereotype.MATERIAL:
-                    raise _Bad(dpath, "only material relations take derivedFrom")
-                if classifiers.get(drel) is None or classifiers[drel].stereotype is not Stereotype.RELATOR:
-                    raise _Bad(dpath, f"derivedFrom must name a relator, got '{drel}'")
-                dmult = _load_mult(_need(dobj, dpath, "mult", dict, "object"), f"{dpath}.mult")
-                derived = Derivation(drel, dmult)
-            via = None
-            if raw.get("viaQuality") is not None:
-                vpath = f"{path}.viaQuality"
-                vobj = raw["viaQuality"]
-                if not isinstance(vobj, dict):
-                    raise _Bad(vpath, "expected object")
-                q = _need(vobj, vpath, "quality", str, "string")
-                if q not in classifiers:
-                    raise _Bad(vpath, f"unknown classifier '{q}'")
-                direction = _load_enum(Direction, _need(vobj, vpath, "direction", str, "string"),
-                                       f"{vpath}.direction")
-                via = ViaQuality(q, direction)
-            if comparative and via is None:
-                raise _Bad(path, "comparative relations need a viaQuality grounding")
-            if not comparative and via is not None:
-                raise _Bad(path, "only comparative relations take viaQuality")
-            _check_source_stereotype(stereo, classifiers, src, path)
-            if rname in relations:
-                raise _Bad(path, f"duplicate relation name '{rname}'")
-            relations[rname] = RelationDecl(rname, stereo, src, tgt, smult, tmult, derived, via)
-
-        gensets: dict[str, GeneralizationSet] = {}
-        probe = Model(name=name, classifiers=classifiers)
-        for i, raw in enumerate(_opt(doc, "$", "generalizationSets", list, "array", [])):
-            path = f"generalizationSets[{i}]"
-            if not isinstance(raw, dict):
-                raise _Bad(path, "expected object")
-            gname = _need(raw, path, "name", str, "string")
-            general = _need(raw, path, "general", str, "string")
-            specifics = _need(raw, path, "specifics", list, "array")
-            if general not in classifiers:
-                raise _Bad(f"{path}.general", f"unknown classifier '{general}'")
-            if len(specifics) < 2:
-                raise _Bad(f"{path}.specifics", "needs at least two specifics")
-            for j, s in enumerate(specifics):
-                if not isinstance(s, str) or s not in classifiers:
-                    raise _Bad(f"{path}.specifics[{j}]", f"unknown classifier {s!r}")
-                if general not in probe.ancestors(s):
-                    raise _Bad(f"{path}.specifics[{j}]", f"'{s}' does not specialize '{general}'")
-            gensets[gname] = GeneralizationSet(
-                gname, general, tuple(specifics),
-                _opt(raw, path, "isDisjoint", bool, "boolean", False),
-                _opt(raw, path, "isComplete", bool, "boolean", False),
-            )
-
-        spaces: dict[str, QualitySpace] = {}
-        for i, raw in enumerate(_opt(doc, "$", "qualitySpaces", list, "array", [])):
-            path = f"qualitySpaces[{i}]"
-            if not isinstance(raw, dict):
-                raise _Bad(path, "expected object")
-            owner = _need(raw, path, "owner", str, "string")
-            if classifiers.get(owner) is None or classifiers[owner].stereotype is not Stereotype.QUALITY:
-                raise _Bad(f"{path}.owner", f"space owner '{owner}' must be a quality classifier")
-            if owner in spaces:
-                raise _Bad(path, f"duplicate space for quality '{owner}'")
-            kind = _need(raw, path, "kind", str, "string")
-            if kind == "ordered":
-                lo = _need(raw, path, "lo", int, "integer")
-                hi = _need(raw, path, "hi", int, "integer")
-                if lo > hi:
-                    raise _Bad(path, f"ordered space upper bound {hi} is below lower bound {lo}")
-                spaces[owner] = QualitySpace(owner, (lo, hi), None)
-            elif kind == "nominal":
-                labels = _need(raw, path, "labels", list, "array")
-                for j, lab in enumerate(labels):
-                    if not isinstance(lab, str):
-                        raise _Bad(f"{path}.labels[{j}]", "expected string")
-                if len(set(labels)) != len(labels):
-                    raise _Bad(f"{path}.labels", "nominal labels must be distinct")
-                spaces[owner] = QualitySpace(owner, None, tuple(labels))
-            else:
-                raise _Bad(f"{path}.kind", "expected 'ordered' or 'nominal'")
+        classifiers = [_load_classifier(raw, path) for path, raw in _objects(doc, "classifiers")]
+        relations = [_load_relation(raw, path) for path, raw in _objects(doc, "relations")]
+        gensets = [_load_genset(raw, path) for path, raw in _objects(doc, "generalizationSets")]
+        spaces = [_load_space(raw, path) for path, raw in _objects(doc, "qualitySpaces")]
     except _Bad as exc:
-        return ParseError(SourceSpan(1, 1, 0), str(exc))
-    return Model(name=name, classifiers=classifiers, relations=relations,
-                 gensets=gensets, spaces=spaces)
-
-
-def _check_source_stereotype(stereo, classifiers, src, path):
-    src_stereo = classifiers[src].stereotype
-    if stereo is RelationStereotype.MEDIATION and src_stereo is not Stereotype.RELATOR:
-        raise _Bad(path, f"mediation source '{src}' must be a relator")
-    if stereo is RelationStereotype.CHARACTERIZATION and src_stereo not in (
-        Stereotype.MODE, Stereotype.QUALITY,
-    ):
-        raise _Bad(path, f"characterization source '{src}' must be a mode or quality")
-    if stereo is RelationStereotype.PARTICIPATION and src_stereo is not Stereotype.EVENT:
-        raise _Bad(path, f"participation source '{src}' must be an event")
+        return ParseError(DEFAULT_SPAN, str(exc))
+    result = _resolve(name, classifiers, relations, gensets, spaces)
+    return result[0] if isinstance(result, list) else result
 
 
 __all__ = ["emit_json", "load_json", "classifier_dict", "relation_dict", "space_dict"]

@@ -4,6 +4,11 @@ Parsing is total: `parse_text` always returns either a resolved Model or a
 non-empty list of ParseErrors, never raises on malformed input. On a syntax
 error inside a declaration the parser records the error and resynchronizes at
 the next declaration keyword, so several errors are reported in one pass.
+
+The syntax pass only collects raw declarations. `_resolve` then turns them
+into a Model; it serves both front ends, since `jsonio.load_json` decodes
+JSON into the same raw declarations, so DSL text and JSON obey one set of
+declaration rules.
 """
 from __future__ import annotations
 
@@ -117,8 +122,9 @@ class _Unexpected(Exception):
         self.error = error
 
 
-# Raw declarations collected by the syntax pass; resolution happens afterwards
-# so forward references work and structural errors come with proper spans.
+# Raw declarations collected by the syntax pass (or decoded from JSON);
+# resolution happens afterwards so forward references work and structural
+# errors come with proper spans.
 
 @dataclass
 class _RawClassifier:
@@ -126,6 +132,7 @@ class _RawClassifier:
     name: str
     parents: list[tuple[str, SourceSpan]]
     span: SourceSpan
+    is_abstract: bool = False
 
 
 @dataclass
@@ -204,12 +211,15 @@ class _Parser:
             self.fail(tok, f"'{tok.text}' is a reserved word", expected=(what,))
         self.fail(tok, f"found {self._show(tok)}", expected=(what,))
 
-    def expect_int(self) -> tuple[int, _Token]:
+    def expect_int(self) -> int:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return int(tok.text), tok
-        self.fail(tok, f"found {self._show(tok)}", expected=("integer",))
+        if tok.kind != "INT":
+            self.fail(tok, f"found {self._show(tok)}", expected=("integer",))
+        self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(tok, f"integer of {len(tok.text)} digits is too long")
 
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
@@ -284,15 +294,14 @@ class _Parser:
 
     def card(self) -> Multiplicity:
         open_tok = self.expect_punct("[")
-        lo, lo_tok = self.expect_int()
+        lo = self.expect_int()
         dd = self.peek()
         if not (dd.kind == "PUNCT" and dd.text == ".."):
             self.fail(dd, f"found {self._show(dd)}", expected=("'..'",))
         self.advance()
         tok = self.peek()
         if tok.kind == "INT":
-            self.advance()
-            hi: int | None = int(tok.text)
+            hi: int | None = self.expect_int()
         elif tok.kind == "PUNCT" and tok.text == "*":
             self.advance()
             hi = None
@@ -371,16 +380,12 @@ class _Parser:
         owner = self.expect_ident("quality name")
         if self.at_keyword("ordered"):
             self.advance()
-            lo, lo_tok = self.expect_int()
+            lo = self.expect_int()
             dd = self.peek()
             if not (dd.kind == "PUNCT" and dd.text == ".."):
                 self.fail(dd, f"found {self._show(dd)}", expected=("'..'",))
             self.advance()
-            hi, hi_tok = self.expect_int()
-            if lo > hi:
-                raise _Unexpected(ParseError(
-                    hi_tok.span, f"ordered space upper bound {hi} is below lower bound {lo}",
-                ))
+            hi = self.expect_int()
             self.spaces.append(_RawSpace(owner.text, (lo, hi), None, owner.span))
             return
         if self.at_keyword("nominal"):
@@ -395,38 +400,59 @@ class _Parser:
                     continue
                 break
             self.expect_punct("}")
-            if len(set(labels)) != len(labels):
-                raise _Unexpected(ParseError(owner.span, "nominal labels must be distinct"))
             self.spaces.append(_RawSpace(owner.text, None, tuple(labels), owner.span))
             return
         tok = self.peek()
         self.fail(tok, f"found {self._show(tok)}", expected=("'ordered'", "'nominal'"))
 
 
-def _resolve(p: _Parser) -> Model | list[ParseError]:
-    """Second pass: name resolution plus the structural declaration invariants."""
-    errors = list(p.errors)
+# the stereotypes a relation's source may have, and how messages name them
+_SOURCE_STEREOTYPES = {
+    RelationStereotype.MEDIATION: ({Stereotype.RELATOR}, "a relator"),
+    RelationStereotype.CHARACTERIZATION: (
+        {Stereotype.MODE, Stereotype.QUALITY}, "a mode or quality",
+    ),
+    RelationStereotype.PARTICIPATION: ({Stereotype.EVENT}, "an event"),
+}
 
-    names: dict[str, SourceSpan] = {}
-    for rc in p.classifiers:
+
+def _resolve(
+    model_name: str,
+    raw_classifiers: list[_RawClassifier],
+    raw_relations: list[_RawRelation],
+    raw_gensets: list[_RawGenset],
+    raw_spaces: list[_RawSpace],
+    syntax_errors: tuple[ParseError, ...] | list[ParseError] = (),
+) -> Model | list[ParseError]:
+    """Second pass: name resolution plus the structural declaration invariants.
+
+    Both front ends end here: the DSL parser and `jsonio.load_json` hand over
+    raw declarations, so one rule set decides what a well-formed model is.
+    JSON declarations carry no span, so every message names its declaration.
+    """
+    errors = list(syntax_errors)
+
+    names: set[str] = set()
+    for rc in raw_classifiers:
         if rc.name in names:
             errors.append(ParseError(rc.span, f"duplicate classifier name '{rc.name}'"))
-        else:
-            names[rc.name] = rc.span
+        names.add(rc.name)
 
-    def known(ref: tuple[str, SourceSpan], what: str) -> bool:
+    def known(ref: tuple[str, SourceSpan], owner: str) -> bool:
         name, span = ref
         if name not in names:
-            errors.append(ParseError(span, f"unknown {what} '{name}'"))
+            errors.append(ParseError(span, f"unknown classifier '{name}' in '{owner}'"))
             return False
         return True
 
     classifiers: dict[str, Classifier] = {}
-    for rc in p.classifiers:
-        if names.get(rc.name) is not rc.span:
+    for rc in raw_classifiers:
+        if rc.name in classifiers:
             continue
-        parents = tuple(pr[0] for pr in rc.parents if known(pr, "classifier"))
-        classifiers[rc.name] = Classifier(rc.name, rc.stereotype, parents, span=rc.span)
+        parents = tuple(pr[0] for pr in rc.parents if known(pr, rc.name))
+        classifiers[rc.name] = Classifier(
+            rc.name, rc.stereotype, parents, rc.is_abstract, span=rc.span,
+        )
 
     # specialization cycles make every taxonomy query meaningless: reject here
     state: dict[str, int] = {}
@@ -453,89 +479,56 @@ def _resolve(p: _Parser) -> Model | list[ParseError]:
         return cls.stereotype if cls else None
 
     relations: dict[str, RelationDecl] = {}
-    for rr in p.relations:
+    for rr in raw_relations:
         if rr.name in relations:
             errors.append(ParseError(rr.span, f"duplicate relation name '{rr.name}'"))
             continue
         if rr.name in names:
             errors.append(ParseError(rr.span, f"relation '{rr.name}' collides with a classifier"))
             continue
-        ok = known(rr.source, "classifier") & known(rr.target, "classifier")
-
-        is_comparative = rr.stereotype is RelationStereotype.COMPARATIVE
-        if is_comparative:
+        before = len(errors)
+        known(rr.source, rr.name)
+        known(rr.target, rr.name)
+        problems: list[str] = []
+        if rr.stereotype is RelationStereotype.COMPARATIVE:
             if rr.source_mult is not None or rr.target_mult is not None:
-                errors.append(ParseError(
-                    rr.span, "comparative relations carry no multiplicities",
-                ))
-                ok = False
+                problems.append(f"comparative '{rr.name}' carries no multiplicities")
             if rr.via is None:
-                errors.append(ParseError(
-                    rr.span, f"comparative '{rr.name}' needs a grounding ('via Quality asc|desc')",
-                ))
-                ok = False
+                problems.append(
+                    f"comparative '{rr.name}' needs a grounding ('via Quality asc|desc')"
+                )
         else:
             if rr.source_mult is None or rr.target_mult is None:
-                errors.append(ParseError(
-                    rr.span, f"relation '{rr.name}' needs multiplicities on both ends",
-                ))
-                ok = False
+                problems.append(f"relation '{rr.name}' needs multiplicities on both ends")
             if rr.via is not None:
-                errors.append(ParseError(
-                    rr.span, "only comparative relations take a 'via' grounding",
-                ))
-                ok = False
-
+                problems.append(
+                    f"only comparative relations take a 'via' grounding, not '{rr.name}'"
+                )
         if rr.derived is not None and rr.stereotype is not RelationStereotype.MATERIAL:
-            errors.append(ParseError(
-                rr.span, "only material relations take 'derivedFrom'",
-            ))
-            ok = False
+            problems.append(f"only material relations take 'derivedFrom', not '{rr.name}'")
+        errors.extend(ParseError(rr.span, message) for message in problems)
 
-        if rr.stereotype is RelationStereotype.MEDIATION and ok:
-            if stereo(rr.source[0]) is not Stereotype.RELATOR:
-                errors.append(ParseError(
-                    rr.source[1], f"mediation source '{rr.source[0]}' must be a relator",
-                ))
-                ok = False
-        if rr.stereotype is RelationStereotype.CHARACTERIZATION and ok:
-            if stereo(rr.source[0]) not in (Stereotype.MODE, Stereotype.QUALITY):
-                errors.append(ParseError(
-                    rr.source[1],
-                    f"characterization source '{rr.source[0]}' must be a mode or quality",
-                ))
-                ok = False
-        if rr.stereotype is RelationStereotype.PARTICIPATION and ok:
-            if stereo(rr.source[0]) is not Stereotype.EVENT:
-                errors.append(ParseError(
-                    rr.source[1], f"participation source '{rr.source[0]}' must be an event",
-                ))
-                ok = False
+        allowed = _SOURCE_STEREOTYPES.get(rr.stereotype)
+        if allowed is not None and len(errors) == before and stereo(rr.source[0]) not in allowed[0]:
+            errors.append(ParseError(rr.source[1], (
+                f"{rr.stereotype.value} '{rr.name}' source '{rr.source[0]}' must be {allowed[1]}"
+            )))
 
         derivation = None
-        if rr.derived is not None:
+        if rr.derived is not None and known(rr.derived[:2], rr.name):
             rel_name, rel_span, dmult = rr.derived
-            if rel_name not in names:
-                errors.append(ParseError(rel_span, f"unknown classifier '{rel_name}'"))
-                ok = False
-            elif stereo(rel_name) is not Stereotype.RELATOR:
-                errors.append(ParseError(
-                    rel_span, f"derivedFrom must name a relator, '{rel_name}' is not one",
-                ))
-                ok = False
+            if stereo(rel_name) is not Stereotype.RELATOR:
+                errors.append(ParseError(rel_span, (
+                    f"derivedFrom of '{rr.name}' must name a relator, '{rel_name}' is not one"
+                )))
             else:
                 derivation = Derivation(rel_name, dmult if dmult is not None else Multiplicity(1, None))
 
         via = None
-        if rr.via is not None:
-            q_name, q_span, direction = rr.via
-            if q_name not in names:
-                errors.append(ParseError(q_span, f"unknown classifier '{q_name}'"))
-                ok = False
-            else:
-                via = ViaQuality(q_name, direction)
+        if rr.via is not None and known(rr.via[:2], rr.name):
+            via = ViaQuality(rr.via[0], rr.via[2])
 
-        if ok:
+        if len(errors) == before:
             relations[rr.name] = RelationDecl(
                 rr.name, rr.stereotype, rr.source[0], rr.target[0],
                 rr.source_mult, rr.target_mult, derivation, via, rr.span,
@@ -543,16 +536,13 @@ def _resolve(p: _Parser) -> Model | list[ParseError]:
 
     gensets: dict[str, GeneralizationSet] = {}
     # ancestor checks below need the taxonomy of what resolved so far
-    probe = Model(name=p.model_name or "", classifiers=classifiers)
-    for rg in p.gensets:
+    probe = Model(name=model_name, classifiers=classifiers)
+    for rg in raw_gensets:
         if rg.name in gensets:
             errors.append(ParseError(rg.span, f"duplicate generalization set '{rg.name}'"))
             continue
-        ok = known(rg.general, "classifier")
-        specifics = []
-        for sp in rg.specifics:
-            if known(sp, "classifier"):
-                specifics.append(sp)
+        ok = known(rg.general, rg.name)
+        specifics = [sp for sp in rg.specifics if known(sp, rg.name)]
         if len(rg.specifics) < 2:
             errors.append(ParseError(
                 rg.span, f"generalization set '{rg.name}' needs at least two specifics",
@@ -563,7 +553,8 @@ def _resolve(p: _Parser) -> Model | list[ParseError]:
                 if rg.general[0] not in probe.ancestors(sp_name):
                     errors.append(ParseError(
                         sp_span,
-                        f"'{sp_name}' does not specialize '{rg.general[0]}'",
+                        f"'{sp_name}' does not specialize '{rg.general[0]}' "
+                        f"in generalization set '{rg.name}'",
                     ))
                     ok = False
         if ok and len(specifics) == len(rg.specifics):
@@ -573,24 +564,27 @@ def _resolve(p: _Parser) -> Model | list[ParseError]:
             )
 
     spaces: dict[str, QualitySpace] = {}
-    for rs in p.spaces:
+    for rs in raw_spaces:
         if rs.owner in spaces:
-            errors.append(ParseError(rs.span, f"duplicate space for quality '{rs.owner}'"))
+            message = f"duplicate space for quality '{rs.owner}'"
+        elif rs.owner not in names:
+            message = f"unknown quality '{rs.owner}'"
+        elif stereo(rs.owner) is not Stereotype.QUALITY:
+            message = f"space owner '{rs.owner}' must be a quality classifier"
+        elif rs.ordered is not None and rs.ordered[0] > rs.ordered[1]:
+            lo, hi = rs.ordered
+            message = f"ordered space of '{rs.owner}': upper bound {hi} is below lower bound {lo}"
+        elif rs.labels is not None and len(set(rs.labels)) != len(rs.labels):
+            message = f"nominal labels of '{rs.owner}' must be distinct"
+        else:
+            spaces[rs.owner] = QualitySpace(rs.owner, rs.ordered, rs.labels, rs.span)
             continue
-        if rs.owner not in names:
-            errors.append(ParseError(rs.span, f"unknown quality '{rs.owner}'"))
-            continue
-        if stereo(rs.owner) is not Stereotype.QUALITY:
-            errors.append(ParseError(
-                rs.span, f"space owner '{rs.owner}' must be a quality classifier",
-            ))
-            continue
-        spaces[rs.owner] = QualitySpace(rs.owner, rs.ordered, rs.labels, rs.span)
+        errors.append(ParseError(rs.span, message))
 
     if errors:
         return sorted(errors, key=lambda e: (e.span.line, e.span.column, e.message))
     return Model(
-        name=p.model_name or "",
+        name=model_name,
         classifiers=classifiers,
         relations=relations,
         gensets=gensets,
@@ -604,7 +598,10 @@ def parse_text(text: str) -> Model | list[ParseError]:
     parser = _Parser(tokens)
     parser.errors.extend(lex_errors)
     parser.parse()
-    return _resolve(parser)
+    return _resolve(
+        parser.model_name or "", parser.classifiers, parser.relations,
+        parser.gensets, parser.spaces, parser.errors,
+    )
 
 
 def parse_file(path) -> Model | list[ParseError]:

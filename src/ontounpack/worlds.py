@@ -532,7 +532,14 @@ def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
                 if assembled is None:
                     continue
                 types, all_links = assembled
-                for value_map in _value_choices(prep, inds, types, values):
+                # pure-base values came with their options; value the open
+                # bases now that their full types are known
+                for open_values in product(*(
+                    _value_options(prep, types[ind]) for ind, _ in individuals
+                )):
+                    value_map = dict(values)
+                    for (ind, _), combo in zip(individuals, open_values):
+                        value_map.update({(q, ind): v for q, v in combo})
                     yield _canonicalize(prep, inds, types, all_links, value_map)
 
 
@@ -695,41 +702,6 @@ def _assemble(prep: _Prep, individuals, profile_of, links):
         all_links.extend((rel.name, x, y) for x, y in sorted(derived))
 
     return {ind: frozenset(ts) for ind, ts in types.items()}, all_links
-
-
-def _value_choices(prep: _Prep, individuals, types, preset: dict):
-    """Complete the value map for bearers not already covered (pure bases)."""
-    pending: list[tuple[str, str, bool]] = []
-    for c in prep.value_chars:
-        required = c.source_mult is not None and c.source_mult.min >= 1
-        for ind, _ in individuals:
-            if c.target in types[ind] and (c.source, ind) not in preset:
-                pending.append((c.source, ind, required))
-    # one bearer may be reached through several characterizations of the same
-    # quality; dedupe, strongest requirement wins
-    merged: dict[tuple[str, str], bool] = {}
-    for q, ind, req in pending:
-        merged[(q, ind)] = merged.get((q, ind), False) or req
-    keys = sorted(merged)
-    spaces = [prep.allowed_values(q) for q, _ in keys]
-    if not keys:
-        yield dict(preset)
-        return
-    option_lists = []
-    for (q, ind), vals in zip(keys, spaces):
-        opts: list = list(vals)
-        if not merged[(q, ind)]:
-            opts.append(_ABSENT)
-        option_lists.append(opts)
-    for combo in product(*option_lists):
-        out = dict(preset)
-        for (q, ind), v in zip(keys, combo):
-            if v is not _ABSENT:
-                out[(q, ind)] = v
-        yield out
-
-
-_ABSENT = object()
 
 
 # --------------------------------------------------------------------------

@@ -233,6 +233,30 @@ def test_bad_scope_grammar_exits_2(capsys):
     assert code == 2
 
 
+LONG_INT = "9" * 5000  # past the interpreter's default str-to-int limit (4300)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", RELATOR, "--scope", f"Person={LONG_INT}"),
+    ("simulate", RELATOR, "--quality-values", f"Severity={{{LONG_INT}}}"),
+    ("unpack", PLAIN, "treatedBy", "--quality", "Q", "--space", f"0..{LONG_INT}"),
+], ids=["scope", "quality_values", "space"])
+def test_integer_too_long_to_convert_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "integer of 5000 digits is too long" in err
+
+
+def test_parse_of_too_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100000)
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:1:1: invalid JSON:")
+
+
 # --- lint ----------------------------------------------------------------------
 
 

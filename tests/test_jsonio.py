@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import copy
 import json
+import re
 
-from ontounpack import Model, ParseError, emit_json, load_json
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import parse_ok
+from ontounpack import Model, ParseError, emit_json, load_json, parse_text
+
+from conftest import load_fixture, parse_ok
 
 
 def fixture_round_trip(model):
@@ -70,3 +76,226 @@ def test_dangling_parent_rejected(plain_model):
     doc["classifiers"][0]["parents"] = ["Ghost"]
     err = load_json(json.dumps(doc).encode())
     assert isinstance(err, ParseError)
+
+
+def test_round_trip_keeps_genset_specifics_order():
+    fixture_round_trip(parse_ok(
+        "model T\n\nkind A\nsubkind B specializes A\nsubkind C specializes A\n"
+        "genset G general A specifics C, B\n"
+    ))
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * 100000,
+    b'{"name": ' + b"9" * 5000 + b"}",
+], ids=["nested_too_deep", "integer_too_long"])
+def test_undecodable_json_is_a_parse_error(data):
+    err = load_json(data)
+    assert isinstance(err, ParseError)
+    assert err.message.startswith("invalid JSON: ")
+
+
+# --- both front ends enforce one set of declaration rules ----------------------
+
+MANY = {"min": 1, "max": "*"}
+ONE = {"min": 1, "max": 1}
+
+
+def cls(name, stereotype="kind", *parents):
+    return {"name": name, "stereotype": stereotype, "parents": list(parents)}
+
+
+def rel(name, stereotype, source, target, mults=(MANY, ONE), derived=None, via=None):
+    return {
+        "name": name, "stereotype": stereotype, "source": source, "target": target,
+        "sourceMult": mults[0] if mults else None,
+        "targetMult": mults[1] if mults else None,
+        "derivedFrom": None if derived is None else {"relator": derived, "mult": MANY},
+        "viaQuality": None if via is None else {"quality": via, "direction": "desc"},
+    }
+
+
+def genset(name, general, *specifics):
+    return {"name": name, "general": general, "specifics": list(specifics)}
+
+
+def ordered(owner, lo, hi):
+    return {"owner": owner, "kind": "ordered", "lo": lo, "hi": hi}
+
+
+def nominal(owner, *labels):
+    return {"owner": owner, "kind": "nominal", "labels": list(labels)}
+
+
+def json_doc(*classifiers, relations=(), gensets=(), spaces=()):
+    return {
+        "name": "T", "classifiers": list(classifiers), "relations": list(relations),
+        "generalizationSets": list(gensets), "qualitySpaces": list(spaces),
+    }
+
+
+# kind A with subkinds S and U, as DSL text and as JSON classifiers
+SUB_AB = ("kind A\nsubkind S specializes A\nsubkind U specializes A\n",
+          [cls("A"), cls("S", "subkind", "A"), cls("U", "subkind", "A")])
+
+# (id, DSL declarations, equivalent JSON document, message fragment, declaration)
+DECLARATION_RULES = [
+    ("duplicate_classifier", "kind A\nkind A\n", json_doc(cls("A"), cls("A")),
+     "duplicate classifier name 'A'", "A"),
+    ("duplicate_relation",
+     "kind A\nkind B\nmaterial r : A [1..*] -- [1..1] B\nmaterial r : A [1..*] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("r", "material", "A", "B")] * 2),
+     "duplicate relation name 'r'", "r"),
+    ("relation_named_like_classifier", "kind A\nkind B\nmaterial A : A [1..*] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("A", "material", "A", "B")]),
+     "relation 'A' collides with a classifier", "A"),
+    ("unknown_parent", "kind A\nsubkind S specializes Ghost\n",
+     json_doc(cls("A"), cls("S", "subkind", "Ghost")),
+     "unknown classifier 'Ghost'", "S"),
+    ("unknown_end", "kind A\nmaterial r : A [1..*] -- [1..1] Ghost\n",
+     json_doc(cls("A"), relations=[rel("r", "material", "A", "Ghost")]),
+     "unknown classifier 'Ghost'", "r"),
+    ("cycle", "subkind A specializes B\nsubkind B specializes A\n",
+     json_doc(cls("A", "subkind", "B"), cls("B", "subkind", "A")),
+     "specialization cycle through 'A'", "A"),
+    ("comparative_with_multiplicities",
+     "mode M\nquality Q\ncomparative c : M [1..1] -- [1..1] M via Q desc\n",
+     json_doc(cls("M", "mode"), cls("Q", "quality"),
+         relations=[rel("c", "comparative", "M", "M", (ONE, ONE), via="Q")]),
+     "no multiplicities", "c"),
+    ("comparative_without_via", "mode M\ncomparative c : M -- M\n",
+     json_doc(cls("M", "mode"), relations=[rel("c", "comparative", "M", "M", None)]),
+     "grounding", "c"),
+    ("relation_without_multiplicities", "kind A\nkind B\nmaterial r : A -- B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("r", "material", "A", "B", None)]),
+     "needs multiplicities on both ends", "r"),
+    ("via_on_non_comparative",
+     "kind A\nkind B\nquality Q\nmaterial r : A [1..*] -- [1..1] B via Q desc\n",
+     json_doc(cls("A"), cls("B"), cls("Q", "quality"),
+         relations=[rel("r", "material", "A", "B", via="Q")]),
+     "only comparative relations take", "r"),
+    ("derived_from_on_non_material",
+     "relator R\nkind A\nmediation m : R [1..*] -- [1..1] A derivedFrom R [1..*]\n",
+     json_doc(cls("R", "relator"), cls("A"),
+              relations=[rel("m", "mediation", "R", "A", derived="R")]),
+     "only material relations take", "m"),
+    ("derived_from_non_relator",
+     "kind A\nkind B\nmaterial r : A [1..*] -- [1..1] B derivedFrom A [1..*]\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("r", "material", "A", "B", derived="A")]),
+     "must name a relator", "r"),
+    ("mediation_source", "kind A\nkind B\nmediation m : A [1..*] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("m", "mediation", "A", "B")]),
+     "source 'A' must be a relator", "m"),
+    ("characterization_source", "kind A\nkind B\ncharacterization ch : A [1..1] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"),
+              relations=[rel("ch", "characterization", "A", "B", (ONE, ONE))]),
+     "source 'A' must be a mode or quality", "ch"),
+    ("participation_source", "kind A\nkind B\nparticipation p : A [1..*] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("p", "participation", "A", "B")]),
+     "source 'A' must be an event", "p"),
+    ("genset_with_one_specific", SUB_AB[0] + "genset G general A specifics S\n",
+     json_doc(*SUB_AB[1], gensets=[genset("G", "A", "S")]),
+     "needs at least two specifics", "G"),
+    ("genset_specific_not_below_general",
+     SUB_AB[0] + "kind B\ngenset G general A specifics S, B\n",
+     json_doc(*SUB_AB[1], cls("B"), gensets=[genset("G", "A", "S", "B")]),
+     "'B' does not specialize 'A'", "G"),
+    ("duplicate_genset",
+     SUB_AB[0] + "genset G general A specifics S, U\ngenset G general A specifics U, S\n",
+     json_doc(*SUB_AB[1], gensets=[genset("G", "A", "S", "U"), genset("G", "A", "U", "S")]),
+     "duplicate generalization set 'G'", "G"),
+    ("space_owner_not_a_quality", "kind A\nspace A ordered 0..5\n",
+     json_doc(cls("A"), spaces=[ordered("A", 0, 5)]),
+     "space owner 'A' must be a quality classifier", "A"),
+    ("duplicate_space", "quality Q\nspace Q ordered 0..5\nspace Q nominal {x, y}\n",
+     json_doc(cls("Q", "quality"), spaces=[ordered("Q", 0, 5), nominal("Q", "x", "y")]),
+     "duplicate space for quality 'Q'", "Q"),
+    ("space_bounds_reversed", "quality Q\nspace Q ordered 5..1\n",
+     json_doc(cls("Q", "quality"), spaces=[ordered("Q", 5, 1)]),
+     "upper bound 1 is below lower bound 5", "Q"),
+    ("space_labels_repeated", "quality Q\nspace Q nominal {x, x}\n",
+     json_doc(cls("Q", "quality"), spaces=[nominal("Q", "x", "x")]),
+     "must be distinct", "Q"),
+]
+RULE_IDS = [case[0] for case in DECLARATION_RULES]
+
+
+def reject_both(dsl: str, document: dict) -> tuple[list[str], str]:
+    errs = parse_text("model T\n\n" + dsl)
+    assert isinstance(errs, list), "DSL text was accepted"
+    err = load_json(json.dumps(document).encode())
+    assert isinstance(err, ParseError), "JSON document was accepted"
+    return [e.message for e in errs], err.message
+
+
+@pytest.mark.parametrize("rule, dsl, document, fragment, decl", DECLARATION_RULES, ids=RULE_IDS)
+def test_front_ends_enforce_the_same_declaration_rules(rule, dsl, document, fragment, decl):
+    dsl_messages, json_message = reject_both(dsl, document)
+    assert any(fragment in m for m in dsl_messages), dsl_messages
+    assert fragment in json_message
+
+
+@pytest.mark.parametrize("rule, dsl, document, fragment, decl", DECLARATION_RULES, ids=RULE_IDS)
+def test_declaration_errors_name_their_declaration(rule, dsl, document, fragment, decl):
+    # JSON declarations have no span, so the message alone must locate them
+    dsl_messages, json_message = reject_both(dsl, document)
+    assert json_message in dsl_messages
+    assert f"'{decl}'" in json_message
+
+
+# --- load_json is total ----------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+FIXTURE_DOCS = [
+    json.loads(emit_json(load_fixture(name)))
+    for name in ("healthcare_plain.onto", "healthcare_relator.onto", "healthcare_event.onto")
+]
+FIXTURE_STRINGS = sorted({
+    s for d in FIXTURE_DOCS for s in re.findall(r'"([^"\\]*)"', json.dumps(d))
+})
+
+
+def assert_model_or_error(data: bytes):
+    result = load_json(data)
+    assert isinstance(result, (Model, ParseError))
+    if isinstance(result, Model):
+        assert load_json(emit_json(result)) == result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200))
+def test_load_json_is_total_on_bytes(data):
+    assert_model_or_error(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_load_json_is_total_on_json_values(value):
+    assert_model_or_error(json.dumps(value).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_json_is_total_on_mutated_fixtures(data):
+    """Each step replaces or deletes one node, often with a name from the fixtures."""
+    document = copy.deepcopy(data.draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = document
+        while True:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and data.draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = data.draw(st.sampled_from(FIXTURE_STRINGS) | JSON_VALUES)
+            break
+    assert_model_or_error(json.dumps(document).encode())

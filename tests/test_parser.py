@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,20 @@ def test_missing_model_header():
 def test_bad_multiplicity_rejected():
     errs = parse_text("model T\n\nkind A\nkind B\nmaterial r : A [3..1] -- B\n")
     assert isinstance(errs, list)
+
+
+@pytest.mark.parametrize("text", [
+    "model T\n\nkind A\nkind B\nmaterial r : A [{n}..*] -- [1..1] B\n",
+    "model T\n\nkind A\nkind B\nmaterial r : A [1..{n}] -- [1..1] B\n",
+    "model T\n\nquality Q\nspace Q ordered 0..{n}\n",
+], ids=["multiplicity_min", "multiplicity_max", "space_bound"])
+def test_integer_too_long_to_convert_is_a_parse_error(text):
+    # 5000 digits is past the interpreter's default str-to-int limit (4300)
+    errs = parse_text(text.format(n="9" * 5000))
+    assert isinstance(errs, list)
+    assert [(e.span.line, e.message) for e in errs] == [
+        (text.count("\n", 0, text.index("{n}")) + 1, "integer of 5000 digits is too long"),
+    ]
 
 
 def test_render_round_trip_all_fixtures():

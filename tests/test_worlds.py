@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import ontounpack.worlds
+
 from ontounpack import (
     EMPTY_WORLD,
     Classifier,
@@ -322,10 +324,11 @@ def test_scope_rejects_bad_counts():
 
 def test_scope_value_validation():
     m = parse_ok(SEVERITY)
-    scope = Scope(per_classifier={"Person": 1, "PathologicalCondition": 1},
-                  quality_values={"Severity": (0, 5, 999)})
-    with pytest.raises(ValueError):
-        enumerate_worlds(m, scope)
+    for values in ((0, 5, 999), (True,)):  # a bool is no value of an ordered space
+        scope = Scope(per_classifier={"Person": 1, "PathologicalCondition": 1},
+                      quality_values={"Severity": values})
+        with pytest.raises(ValueError):
+            enumerate_worlds(m, scope)
 
 
 def test_default_quality_values_are_lowest_three():
@@ -333,6 +336,24 @@ def test_default_quality_values_are_lowest_three():
     worlds = enumerate_worlds(m, unlimited(Person=1, PathologicalCondition=1))
     seen = {v for w in worlds for _, _, v in w.value_rows}
     assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("people, count", [(1, 5), (2, 15), (3, 35)])
+def test_optional_values_on_a_pure_base_are_canonicalized_once(monkeypatch, people, count):
+    # Person is never a link target, so its optional Mood is chosen with the
+    # Person's multiset option and never enumerated a second time
+    model = parse_ok(
+        "model Moods\n\nkind Person\nquality Mood\nspace Mood ordered 0..9\n"
+        "characterization hasMood : Mood [0..1] -- [1..1] Person\n"
+    )
+    calls = []
+    real = ontounpack.worlds._canonicalize
+    monkeypatch.setattr(ontounpack.worlds, "_canonicalize",
+                        lambda *args: calls.append(1) or real(*args))
+    worlds = enumerate_worlds(model, unlimited(Person=people))
+    assert len(worlds) == count
+    assert len(calls) == count
+    assert_no_isomorphic_pair(worlds)
 
 
 # --- one enumeration per (model, scope) ----------------------------------------
