@@ -233,24 +233,26 @@ class Model:
 
     @cached_property
     def _ancestor_map(self) -> dict[str, frozenset[str]]:
+        cls = self.classifiers
         memo: dict[str, frozenset[str]] = {}
-
-        def walk(name: str, trail: frozenset[str]) -> frozenset[str]:
-            if name in memo:
-                return memo[name]
-            acc: set[str] = set()
-            cls = self.classifiers.get(name)
-            if cls is not None:
-                for p in cls.parents:
-                    if p in trail or p not in self.classifiers:
+        for start in cls:
+            if start in memo:
+                continue
+            path = [start]  # an explicit path, not recursion: taxonomies may be deep
+            while path:
+                name = path[-1]
+                acc: set[str] = set()
+                for p in cls[name].parents:
+                    if p not in cls or p in path:
                         continue  # cycle guard; cycles are a parse error upstream
+                    if p not in memo:
+                        path.append(p)  # walk up first, come back to `name` later
+                        break
                     acc.add(p)
-                    acc |= walk(p, trail | {name})
-            memo[name] = frozenset(acc)
-            return memo[name]
-
-        for n in self.classifiers:
-            walk(n, frozenset())
+                    acc |= memo[p]
+                else:
+                    memo[name] = frozenset(acc)
+                    path.pop()
         return memo
 
     def ancestors(self, name: str) -> frozenset[str]:

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_SPAN,
     Classifier,
     Derivation,
     Direction,
@@ -70,12 +71,13 @@ class _Token:
         return SourceSpan(self.line, self.column, max(len(self.text), 1))
 
 
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _SCANNER = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
       | (?P<int>\d+)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<ident>""" + _IDENT + r""")
       | (?P<dotdot>\.\.)
       | (?P<dashdash>--)
       | (?P<punct>[:,\[\]{}*=])
@@ -416,8 +418,17 @@ _SOURCE_STEREOTYPES = {
 }
 
 
+def _name_problem(name: str) -> str | None:
+    """Why `name` cannot be written in DSL text, or None when it can."""
+    if name in KEYWORDS:
+        return f"'{name}' is a reserved word"
+    if not re.fullmatch(_IDENT, name):
+        return f"'{name}' is not an identifier"
+    return None
+
+
 def _resolve(
-    model_name: str,
+    model_name: str | None,
     raw_classifiers: list[_RawClassifier],
     raw_relations: list[_RawRelation],
     raw_gensets: list[_RawGenset],
@@ -429,8 +440,18 @@ def _resolve(
     Both front ends end here: the DSL parser and `jsonio.load_json` hand over
     raw declarations, so one rule set decides what a well-formed model is.
     JSON declarations carry no span, so every message names its declaration.
+    A model name of None (the DSL header failed to parse) is not checked.
     """
     errors = list(syntax_errors)
+
+    # JSON names must be spelled as DSL identifiers too, or render_dsl breaks
+    named = [(model_name, DEFAULT_SPAN)] if model_name is not None else []
+    named += [(d.name, d.span) for d in (*raw_classifiers, *raw_relations, *raw_gensets)]
+    named += [(label, rs.span) for rs in raw_spaces for label in rs.labels or ()]
+    for name, span in named:
+        problem = _name_problem(name)
+        if problem is not None:
+            errors.append(ParseError(span, problem))
 
     names: set[str] = set()
     for rc in raw_classifiers:
@@ -455,17 +476,25 @@ def _resolve(
         )
 
     # specialization cycles make every taxonomy query meaningless: reject here
-    state: dict[str, int] = {}
+    state: dict[str, int] = {}  # 1 while on the walk's path, 2 once finished
 
-    def cyclic(name: str) -> bool:
-        if state.get(name) == 2:
-            return False
-        if state.get(name) == 1:
-            return True
-        state[name] = 1
-        hit = any(cyclic(par) for par in classifiers[name].parents if par in classifiers)
-        state[name] = 2
-        return hit
+    def cyclic(start: str) -> bool:
+        # an explicit path, not recursion: taxonomies may be deep
+        state[start] = 1
+        path = [(start, iter(classifiers[start].parents))]
+        while path:
+            name, parents = path[-1]
+            for par in parents:
+                if par in classifiers and state.get(par) != 2:
+                    if state.get(par) == 1:
+                        return True
+                    state[par] = 1
+                    path.append((par, iter(classifiers[par].parents)))
+                    break
+            else:
+                state[name] = 2
+                path.pop()
+        return False
 
     for name in sorted(classifiers):
         if state.get(name) is None and cyclic(name):
@@ -599,7 +628,7 @@ def parse_text(text: str) -> Model | list[ParseError]:
     parser.errors.extend(lex_errors)
     parser.parse()
     return _resolve(
-        parser.model_name or "", parser.classifiers, parser.relations,
+        parser.model_name, parser.classifiers, parser.relations,
         parser.gensets, parser.spaces, parser.errors,
     )
 

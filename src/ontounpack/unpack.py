@@ -46,6 +46,7 @@ class UnpackPlan:
     new_spaces: tuple[QualitySpace, ...] = ()
     replaces: tuple[str, ...] = ()
     set_derivation: Derivation | None = None
+    set_ends: tuple[str, str] | None = None
     set_via: ViaQuality | None = None
     reclassify: RelationStereotype | None = None
 
@@ -60,6 +61,7 @@ class UnpackPlan:
             "newSpaces": [space_dict(s) for s in self.new_spaces],
             "replaces": list(self.replaces),
             "setDerivation": None if self.set_derivation is None else self.set_derivation.to_dict(),
+            "setEnds": None if self.set_ends is None else list(self.set_ends),
             "setVia": None if self.set_via is None else self.set_via.to_dict(),
             "reclassify": None if self.reclassify is None else self.reclassify.value,
         }
@@ -85,8 +87,9 @@ def unpack_material(
 
     Introduces a relator, a role per end (reusing an end that already is one),
     mediations with relator-side [1..*] and mediated-side [1..1], and records
-    the derivation. Widening the generated multiplicities afterwards is the
-    modeler's call.
+    the derivation. The relation's ends move onto the roles, so its bounds
+    constrain only those who play them. Widening the generated multiplicities
+    afterwards is the modeler's call.
     """
     rel = model.relations.get(relation)
     if rel is None:
@@ -102,6 +105,7 @@ def unpack_material(
     _claim(relator_name, taken)
     new_classifiers: list[Classifier] = [Classifier(relator_name, Stereotype.RELATOR)]
     new_relations: list[RelationDecl] = []
+    roles: list[str] = []
     for end, proposed in zip((rel.source, rel.target), role_names):
         if model.classifiers[end].stereotype in ROLE_FAMILY:
             role = end  # the end already names the mediated role
@@ -109,6 +113,7 @@ def unpack_material(
             _claim(proposed, taken)
             new_classifiers.append(Classifier(proposed, Stereotype.ROLE, (end,)))
             role = proposed
+        roles.append(role)
         med_name = f"mediates{role}"
         _claim(med_name, taken)
         new_relations.append(RelationDecl(
@@ -121,6 +126,7 @@ def unpack_material(
         new_relations=tuple(new_relations),
         replaces=(relation,),
         set_derivation=Derivation(relator_name, Multiplicity(1, None)),
+        set_ends=(roles[0], roles[1]),
     )
 
 
@@ -227,7 +233,8 @@ def apply_plan(model: Model, plan: UnpackPlan) -> Model:
     replace_relations: tuple[RelationDecl, ...] = ()
     target = model.relations.get(plan.target_relation)
     if target is not None and (
-        plan.set_derivation is not None or plan.set_via is not None or plan.reclassify is not None
+        plan.set_derivation is not None or plan.set_ends is not None
+        or plan.set_via is not None or plan.reclassify is not None
     ):
         updated = target
         if plan.reclassify is not None:
@@ -236,6 +243,8 @@ def apply_plan(model: Model, plan: UnpackPlan) -> Model:
                 updated = replace(updated, source_mult=None, target_mult=None)
         if plan.set_derivation is not None:
             updated = replace(updated, derived_from=plan.set_derivation)
+        if plan.set_ends is not None:
+            updated = replace(updated, source=plan.set_ends[0], target=plan.set_ends[1])
         if plan.set_via is not None:
             updated = replace(updated, via=plan.set_via)
         replace_relations = (updated,)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
+from operator import itemgetter
 
 from .core import (
     MOMENT_ROOTS,
@@ -69,6 +70,10 @@ class Scope:
             (q, tuple(vs))
             for q, vs in _as_sorted_items(self.quality_values)
         )
+        for q, vs in qv:
+            # worlds sort by their value rows, and values of two types may not compare
+            if len({type(v) for v in vs}) > 1:
+                raise ValueError(f"scope values of quality '{q}' mix types: {vs!r}")
         if self.default_count < 0:
             raise ValueError(f"default scope count must be >= 0, got {self.default_count}")
         if self.world_limit < 1:
@@ -79,10 +84,6 @@ class Scope:
     @cached_property
     def _caps(self) -> dict[str, int]:
         return dict(self.per_classifier)
-
-    def cap(self, name: str) -> int | None:
-        """Explicit cap for a classifier, None when not listed."""
-        return self._caps.get(name)
 
     def count_for_base(self, name: str) -> int:
         explicit = self._caps.get(name)
@@ -231,52 +232,39 @@ class _Prep:
             for b in self.bases
         }
 
-        # stored-link relations: dependence links plus mode characterizations
-        self.stored: list[RelationDecl] = sorted(
-            (
-                r for r in model.relations.values()
-                if r.stereotype in _STORED
-                or (
-                    r.stereotype is RelationStereotype.CHARACTERIZATION
-                    and cls.get(r.source) is not None
-                    and cls[r.source].stereotype is Stereotype.MODE
-                )
-            ),
-            key=lambda r: r.name,
-        )
-        self.stored_names = {r.name for r in self.stored}
+        rels = sorted(model.relations.values(), key=lambda r: r.name)
 
+        def characterizes(r: RelationDecl, source: Stereotype) -> bool:
+            return r.stereotype is RelationStereotype.CHARACTERIZATION \
+                and r.source in cls and cls[r.source].stereotype is source
+
+        # stored-link relations: dependence links plus mode characterizations
+        self.stored: list[RelationDecl] = [
+            r for r in rels if r.stereotype in _STORED or characterizes(r, Stereotype.MODE)
+        ]
         # quality characterizations: value assignments, not links
-        self.value_chars: list[RelationDecl] = sorted(
-            (
-                r for r in model.relations.values()
-                if r.stereotype is RelationStereotype.CHARACTERIZATION
-                and cls.get(r.source) is not None
-                and cls[r.source].stereotype is Stereotype.QUALITY
-            ),
-            key=lambda r: r.name,
-        )
+        self.value_chars: list[RelationDecl] = [
+            r for r in rels if characterizes(r, Stereotype.QUALITY)
+        ]
+
+        # open individuals draw links for all their possible types, but a
+        # justified classifier (and a non-sortal above one) is had only through
+        # a defining link: links from such a source are checked on assembly
+        link_typed = self.up_close(self.justified) - set(self.bases).union(*self.free.values())
+        self.link_typed_sources: list[RelationDecl] = [
+            r for r in self.stored if r.source in link_typed
+        ]
 
         # material relations and their end-compatible mediations
-        self.materials: list[tuple[RelationDecl, list[str], list[str]]] = []
-        for r in sorted(model.relations.values(), key=lambda r: r.name):
-            if r.stereotype is not RelationStereotype.MATERIAL or r.derived_from is None:
-                continue
-            relator = r.derived_from.relator
-            meds = model.mediations_of(relator)
-            src_ok = [
-                m.name for m in meds
-                if m.target in model.ancestors_or_self(r.source) | model.descendants(r.source)
-            ]
-            tgt_ok = [
-                m.name for m in meds
-                if m.target in model.ancestors_or_self(r.target) | model.descendants(r.target)
-            ]
-            self.materials.append((r, src_ok, tgt_ok))
-        self.material_names = {r.name for r, _, _ in self.materials} | {
-            r.name for r in model.relations.values()
-            if r.stereotype is RelationStereotype.MATERIAL
-        }
+        def anchoring(r: RelationDecl, end: str) -> list[str]:
+            near = model.ancestors_or_self(end) | model.descendants(end)
+            return [m.name for m in model.mediations_of(r.derived_from.relator) if m.target in near]
+
+        self.materials: list[tuple[RelationDecl, list[str], list[str]]] = [
+            (r, anchoring(r, r.source), anchoring(r, r.target))
+            for r in rels
+            if r.stereotype is RelationStereotype.MATERIAL and r.derived_from is not None
+        ]
 
         # bases whose individuals can be link targets (not packable as options)
         targeted: set[str] = set()
@@ -322,18 +310,13 @@ class _Prep:
             for size in range(len(free) + 1):
                 for chosen in combinations(free, size):
                     closure = self.up_close((b, *chosen))
-                    if self._profile_ok(closure):
+                    if all(
+                        sum(s in closure for s in g.specifics) <= 1
+                        for g in self.model.gensets.values() if g.is_disjoint
+                    ):
                         seen.setdefault(closure, None)
             out[b] = sorted(seen, key=lambda s: tuple(sorted(s)))
         return out
-
-    def _profile_ok(self, closure: frozenset[str]) -> bool:
-        for g in self.model.gensets.values():
-            if g.is_disjoint:
-                hit = [s for s in g.specifics if s in closure]
-                if len(hit) > 1:
-                    return False
-        return True
 
     def possible_types(self, base: str, profile: frozenset[str]) -> frozenset[str]:
         """Profile closure plus every justified sortal the profile can support."""
@@ -385,76 +368,65 @@ def _check_model(model: Model):
         raise IllFormedModelError(errors)
 
 
-def enumerate_worlds(
-    model: Model,
-    scope: Scope | None = None,
-    *,
-    max_total_individuals: int = 14,
-) -> list[InstanceWorld]:
+# the most individuals one scope may admit, summed over the identity bases
+MAX_TOTAL_INDIVIDUALS = 14
+
+
+def enumerate_worlds(model: Model, scope: Scope | None = None) -> list[InstanceWorld]:
     """All pairwise non-isomorphic worlds within scope, canonically ordered.
 
     Exhaustive whenever the total count fits under scope.world_limit; the
     list is truncated to world_limit otherwise. Queries on one Model instance
     and scope (this, find_witness, check_metaproperties) share one
-    enumeration; world_limit only slices it.
+    enumeration; world_limit only slices it. A scope admitting more than
+    MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
     """
     scope = scope or DEFAULT_SCOPE
-    worlds = _enumerate_all(model, scope, max_total_individuals)
-    return list(worlds[: scope.world_limit])
+    return list(_enumerate_all(model, scope)[: scope.world_limit])
 
 
 _WORLDS_MEMO = "_worlds_memo"
 
 
-def _check_cap(total_cap: int, max_total: int):
-    if total_cap > max_total:
-        raise ScopeTooLargeError(
-            f"scope admits up to {total_cap} individuals; the hard cap is {max_total}"
-        )
-
-
-def _enumerate_all(model: Model, scope: Scope, max_total: int) -> tuple[InstanceWorld, ...]:
+def _enumerate_all(model: Model, scope: Scope) -> tuple[InstanceWorld, ...]:
     """Every world of (model, scope), enumerated once per Model instance and scope.
 
     The last scope's worlds stay in the model's __dict__ next to its
     cached_property maps (so ==, repr and output are unaffected), keyed on
-    everything in the scope but world_limit. The hard cap is checked on
-    every call; the model is checked only when it is enumerated.
+    everything in the scope but world_limit.
     """
     # values keep their type in the key: 1 == 1.0, yet they make different worlds
     values = tuple((q, tuple((type(v), v) for v in vs)) for q, vs in scope.quality_values)
     key = (scope.per_classifier, scope.default_count, values)
     memo = model.__dict__.get(_WORLDS_MEMO)
     if memo is not None and memo[0] == key:
-        _check_cap(memo[1], max_total)
-        return memo[2]
+        return memo[1]
     _check_model(model)
     prep = _Prep(model, scope)
-    caps = {b: scope.count_for_base(b) for b in prep.bases}
-    total_cap = sum(caps.values())
-    _check_cap(total_cap, max_total)
-    found: dict[tuple, InstanceWorld] = {}
     bases = prep.bases
-    for counts in product(*(range(caps[b] + 1) for b in bases)):
-        count_of = dict(zip(bases, counts))
-        for canon_key, canon in _worlds_for_counts(prep, count_of):
-            found.setdefault(canon_key, canon)
-    worlds = tuple(w for _, w in sorted(found.items(), key=lambda kv: kv[0]))
-    model.__dict__[_WORLDS_MEMO] = (key, total_cap, worlds)
+    caps = [scope.count_for_base(b) for b in bases]
+    if sum(caps) > MAX_TOTAL_INDIVIDUALS:
+        raise ScopeTooLargeError(
+            f"scope admits up to {sum(caps)} individuals; "
+            f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
+        )
+    keys: set[tuple] = set()
+    for counts in product(*(range(cap + 1) for cap in caps)):
+        keys.update(_worlds_for_counts(prep, dict(zip(bases, counts))))
+    worlds = tuple(InstanceWorld(*rows) for rows in sorted(keys))
+    model.__dict__[_WORLDS_MEMO] = (key, worlds)
     return worlds
 
 
 def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
-    """Yield (canonical key, world) for one fixed per-base individual count."""
+    """Yield the canonical key of every world with these per-base counts."""
     open_bases = [b for b in prep.open_bases if count_of[b] > 0]
     pure_bases = [b for b in prep.pure_bases if count_of[b] > 0]
 
-    # phase 1: free-type profiles for open (targetable) bases, as multisets
-    open_choices = [
-        list(combinations_with_replacement(prep.profiles[b], count_of[b]))
-        for b in open_bases
-    ]
-    for open_profiles in product(*open_choices):
+    # free-type profiles for open (targetable) bases, as multisets
+    for open_profiles in product(*(
+        combinations_with_replacement(prep.profiles[b], count_of[b]) for b in open_bases
+    )):
         individuals: list[tuple[str, str]] = []   # (id, base); ids provisional
         profile_of: dict[str, frozenset[str]] = {}
         for b, profs in zip(open_bases, open_profiles):
@@ -462,59 +434,24 @@ def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
                 ind = f"{b}_{i}"
                 individuals.append((ind, b))
                 profile_of[ind] = prof
-        possible = {
-            ind: prep.possible_types(base, profile_of[ind])
-            for ind, base in individuals
+        possible = {ind: prep.possible_types(b, profile_of[ind]) for ind, b in individuals}
+        targets = {
+            r.name: tuple(ind for ind, _ in individuals if r.target in possible[ind])
+            for r in prep.stored
         }
-
-        # phase 2: stored relations whose source lives in an open base
-        fallback_rels = [
-            r for r in prep.stored
-            if prep.bases_of(r.source) & set(open_bases)
+        # each open individual holds the links its possible types allow; a
+        # pure-base individual packs its links and values into one option
+        open_links = [_link_choices(prep, possible[ind], targets) for ind, _ in individuals]
+        pure_choices = [
+            list(combinations_with_replacement(_pure_options(prep, b, targets), count_of[b]))
+            for b in pure_bases
         ]
-        fallback_choices = []
-        for r in fallback_rels:
-            sources = tuple(
-                ind for ind, _ in individuals if r.source in possible[ind]
-            )
-            targets = tuple(
-                ind for ind, _ in individuals if r.target in possible[ind]
-            )
-            per_source = []
-            for s in sources:
-                opts = [
-                    tuple((r.name, s, t) for t in chosen)
-                    for chosen in _target_subsets(targets, r.target_mult)
-                ]
-                if not opts:
-                    per_source = None
-                    break
-                per_source.append(opts)
-            if per_source is None:
-                fallback_choices = None
-                break
-            fallback_choices.extend(per_source)
-        if fallback_choices is None:
-            continue
-
-        for fallback_combo in product(*fallback_choices):
-            base_links: list[tuple[str, str, str]] = [
-                link for group in fallback_combo for link in group
+        for link_combo in product(*open_links):
+            base_links = [
+                (r, ind, t)
+                for (ind, _), choice in zip(individuals, link_combo)
+                for r, t in choice
             ]
-
-            # phase 3: options for pure (never-targeted) bases
-            pure_choices = []
-            for b in pure_bases:
-                options = _pure_options(prep, b, individuals, possible)
-                if options is None:
-                    pure_choices = None
-                    break
-                pure_choices.append(
-                    list(combinations_with_replacement(options, count_of[b]))
-                )
-            if pure_choices is None:
-                continue
-
             for pure_combo in product(*pure_choices):
                 inds = list(individuals)
                 links = list(base_links)
@@ -540,67 +477,50 @@ def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
                     value_map = dict(values)
                     for (ind, _), combo in zip(individuals, open_values):
                         value_map.update({(q, ind): v for q, v in combo})
-                    yield _canonicalize(prep, inds, types, all_links, value_map)
+                    yield _canonicalize(inds, types, all_links, value_map)
 
 
-def _pure_options(prep: _Prep, base: str, individuals, possible):
+def _link_choices(prep: _Prep, types, targets: dict[str, tuple]) -> list[tuple]:
+    """Every tuple of (relation, target) links one source with `types` can hold.
+
+    The product, over the stored relations whose source is in `types`, of the
+    target sets that relation's target-side bound admits.
+    """
+    return [
+        tuple(link for group in combo for link in group)
+        for combo in product(*(
+            [tuple((r.name, t) for t in chosen)
+             for chosen in _target_subsets(targets[r.name], r.target_mult)]
+            for r in prep.stored if r.source in types
+        ))
+    ]
+
+
+def _pure_options(prep: _Prep, base: str, targets: dict[str, tuple]) -> list[tuple]:
     """Per-individual (profile, links, values) options for a pure base."""
-    options = []
-    for profile in prep.profiles[base]:
-        link_parts = []
-        dead = False
-        for r in prep.stored:
-            if r.source not in profile:
-                continue
-            targets = tuple(ind for ind, _ in individuals if r.target in possible[ind])
-            subsets = [
-                tuple((r.name, t) for t in chosen)
-                for chosen in _target_subsets(targets, r.target_mult)
-            ]
-            if not subsets:
-                dead = True
-                break
-            link_parts.append(subsets)
-        if dead:
-            continue
-        value_parts = _value_options(prep, profile)
-        for link_combo in product(*link_parts):
-            flat_links = tuple(l for group in link_combo for l in group)
-            for value_combo in value_parts:
-                options.append((profile, flat_links, value_combo))
-    return sorted(options, key=_option_key) if options else None
-
-
-def _option_key(option):
-    profile, links, values = option
-    return (tuple(sorted(profile)), links, values)
+    return [
+        (profile, links, values)
+        for profile in prep.profiles[base]
+        for links in _link_choices(prep, profile, targets)
+        for values in _value_options(prep, profile)
+    ]
 
 
 def _value_options(prep: _Prep, types: frozenset[str]) -> list[tuple]:
     """All value assignments for one bearer with the given types."""
-    per_quality: dict[str, tuple[bool, tuple]] = {}
+    required: dict[str, bool] = {}
     for c in prep.value_chars:
-        if c.target not in types:
-            continue
-        required = c.source_mult is not None and c.source_mult.min >= 1
-        vals = prep.allowed_values(c.source)
-        prev = per_quality.get(c.source)
-        if prev is None:
-            per_quality[c.source] = (required, vals)
-        else:
-            per_quality[c.source] = (prev[0] or required, prev[1])
-    combos: list[list[tuple[str, object]]] = [[]]
-    for quality in sorted(per_quality):
-        required, vals = per_quality[quality]
-        choices: list[tuple] = [(quality, v) for v in vals]
-        extended = []
-        for partial in combos:
-            for choice in choices:
-                extended.append(partial + [choice])
-            if not required:
-                extended.append(list(partial))
-        combos = extended
-    return [tuple(c) for c in combos]
+        if c.target in types:
+            needed = c.source_mult is not None and c.source_mult.min >= 1
+            required[c.source] = required.get(c.source, False) or needed
+    # a quality contributes one (quality, value) row, or none when optional
+    return [
+        tuple(row for part in combo for row in part)
+        for combo in product(*(
+            [((q, v),) for v in prep.allowed_values(q)] + ([] if required[q] else [()])
+            for q in sorted(required)
+        ))
+    ]
 
 
 def _assemble(prep: _Prep, individuals, profile_of, links):
@@ -627,6 +547,12 @@ def _assemble(prep: _Prep, individuals, profile_of, links):
     for classifier in prep.justified:
         members = {ind for ind, _ in individuals if classifier in types[ind]}
         if members != linked_via[classifier]:
+            return None
+
+    # a link's source must have the relation's source type once memberships
+    # are derived (see _Prep.link_typed_sources)
+    for r in prep.link_typed_sources:
+        if any(r.source not in types[s] for s, _ in by_relation.get(r.name, ())):
             return None
 
     # per-target counts (the source-side multiplicity of each stored relation)
@@ -708,12 +634,8 @@ def _assemble(prep: _Prep, individuals, profile_of, links):
 # canonicalization
 # --------------------------------------------------------------------------
 
-def _canonicalize(prep: _Prep, individuals, types, links, values):
-    """Relabel individuals per base to the lexicographically least encoding."""
-    by_base: dict[str, list[str]] = {}
-    for ind, base in individuals:
-        by_base.setdefault(base, []).append(ind)
-
+def _canonicalize(individuals, types, links, values):
+    """Rows of the world, relabelled per base to the least encoding: its canonical key."""
     out_links: dict[str, list[tuple[str, str, str]]] = {}
     in_links: dict[str, list[tuple[str, str, str]]] = {}
     for rel, s, t in links:
@@ -741,56 +663,36 @@ def _canonicalize(prep: _Prep, individuals, types, links, values):
             )
         color = new_color
 
-    # bucket per base by final color; permutations only matter inside buckets
-    # whose members occur in links (otherwise every order encodes identically)
-    orderings: list[list[list[str]]] = []
-    base_names = sorted(by_base)
-    for base in base_names:
-        members = sorted(by_base[base], key=lambda i: (repr(color[i]), i))
-        groups: list[list[str]] = []
-        for m in members:
-            if groups and color[groups[-1][0]] == color[m]:
-                groups[-1].append(m)
-            else:
-                groups.append([m])
-        per_group: list[list[list[str]]] = []
-        for g in groups:
-            if len(g) == 1 or (
-                all(i not in out_links and i not in in_links for i in g)
-            ):
-                per_group.append([g])
-            else:
-                per_group.append([list(p) for p in permutations(g)])
-        combos = [
-            [i for group in arrangement for i in group]
-            for arrangement in product(*per_group)
-        ]
-        orderings.append(combos)
-
+    # sort per base by final color and give fresh ids in that order: only
+    # orders within a tie (same base and color) remain, and those matter
+    # only when the tied individuals occur in links
+    ranked = sorted(individuals, key=lambda ib: (ib[1], repr(color[ib[0]]), ib[0]))
+    fresh = [
+        (f"{base}_{i}", base)
+        for base, members in groupby(ranked, key=itemgetter(1))
+        for i, _ in enumerate(members)
+    ]
+    ties: list[list[list[str]]] = []   # per tie: the orders worth trying
+    for _, group in groupby(ranked, key=lambda ib: (ib[1], color[ib[0]])):
+        tie = [ind for ind, _ in group]
+        linked = any(i in out_links or i in in_links for i in tie)
+        ties.append([list(p) for p in permutations(tie)] if linked else [tie])
+    sorted_types = {ind: tuple(sorted(ts)) for ind, ts in types.items()}
     best = None
-    for arrangement in product(*orderings):
-        rename: dict[str, str] = {}
-        new_inds: list[tuple[str, str]] = []
-        for base, order in zip(base_names, arrangement):
-            for i, old in enumerate(order):
-                fresh = f"{base}_{i}"
-                rename[old] = fresh
-                new_inds.append((fresh, base))
-        enc_types = tuple(sorted(
-            (rename[ind], tuple(sorted(types[ind]))) for ind, _ in individuals
-        ))
-        enc_links = tuple(sorted((rel, rename[s], rename[t]) for rel, s, t in links))
-        enc_values = tuple(sorted(
-            ((q, rename[b], v) for (q, b), v in values.items()),
-            key=lambda row: (row[0], row[1], repr(row[2])),
-        ))
-        enc_inds = tuple(sorted(new_inds))
-        key = (enc_inds, enc_types, enc_links, enc_values)
-        if best is None or key < best:
-            best = key
-    enc_inds, enc_types, enc_links, enc_values = best
-    world = InstanceWorld(enc_inds, enc_types, enc_links, enc_values)
-    return best, world
+    for arrangement in product(*ties):
+        order = (ind for tie in arrangement for ind in tie)
+        rename = {old: new for old, (new, _) in zip(order, fresh)}
+        enc = (
+            tuple(sorted((rename[ind], sorted_types[ind]) for ind, _ in individuals)),
+            tuple(sorted((rel, rename[s], rename[t]) for rel, s, t in links)),
+            tuple(sorted(
+                ((q, rename[b], v) for (q, b), v in values.items()),
+                key=lambda row: (row[0], row[1], repr(row[2])),
+            )),
+        )
+        if best is None or enc < best:
+            best = enc
+    return (tuple(sorted(fresh)), *best)
 
 
 # --------------------------------------------------------------------------
@@ -997,7 +899,7 @@ def find_witness(model: Model, scope: Scope | None, goal: Goal) -> InstanceWorld
     scope share one enumeration with the other world queries.
     """
     scope = scope or DEFAULT_SCOPE
-    for world in _enumerate_all(model, scope, 14):
+    for world in _enumerate_all(model, scope):
         if goal_holds(world, goal):
             return world
     return None
@@ -1143,7 +1045,7 @@ def check_metaproperties(
             "comparative or internal relations"
         )
     counter: dict[str, tuple[InstanceWorld, tuple[str, ...]]] = {}
-    for world in _enumerate_all(model, scope, 14):
+    for world in _enumerate_all(model, scope):
         if rel.stereotype is RelationStereotype.COMPARATIVE:
             pairs = eval_comparative(world, model, relation, strict=strict)
         else:

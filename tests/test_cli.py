@@ -228,6 +228,22 @@ def test_quality_value_outside_its_space_exits_2(capsys, command):
     assert "scope value 500 outside the space of quality 'Severity'" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "lint"])
+def test_quality_values_of_mixed_types_exit_2(capsys, tmp_path, command):
+    # Mood has no space, so the scope's values are taken as given
+    src = tmp_path / "moods.onto"
+    src.write_text(
+        "model Moods\n\nkind Person\nquality Mood\n"
+        "characterization hasMood : Mood [1..1] -- [1..1] Person\n"
+    )
+    code, out, err = run(
+        capsys, command, str(src), "--scope", "Person=2", "--quality-values", "Mood={1,a}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "scope values of quality 'Mood' mix types" in err
+
+
 def test_bad_scope_grammar_exits_2(capsys):
     code, out, err = run(capsys, "simulate", RELATOR, "--scope", "Person=two")
     assert code == 2

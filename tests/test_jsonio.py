@@ -78,6 +78,17 @@ def test_dangling_parent_rejected(plain_model):
     assert isinstance(err, ParseError)
 
 
+def test_deep_taxonomy_loads():
+    # 1500 specialization levels, past the interpreter's default recursion limit
+    doc = {"name": "Deep", "classifiers": [{"name": "A0", "stereotype": "kind"}] + [
+        {"name": f"A{i}", "stereotype": "subkind", "parents": [f"A{i - 1}"]}
+        for i in range(1, 1500)
+    ]}
+    m = load_json(json.dumps(doc).encode())
+    assert isinstance(m, Model)
+    assert m.ancestors("A1499") == {f"A{i}" for i in range(1499)}
+
+
 def test_round_trip_keeps_genset_specifics_order():
     fixture_round_trip(parse_ok(
         "model T\n\nkind A\nsubkind B specializes A\nsubkind C specializes A\n"
@@ -216,6 +227,17 @@ DECLARATION_RULES = [
     ("space_labels_repeated", "quality Q\nspace Q nominal {x, x}\n",
      json_doc(cls("Q", "quality"), spaces=[nominal("Q", "x", "x")]),
      "must be distinct", "Q"),
+    ("classifier_named_by_keyword", "kind kind\n", json_doc(cls("kind")),
+     "'kind' is a reserved word", "kind"),
+    ("relation_named_by_keyword", "kind A\nkind B\nmaterial via : A [1..*] -- [1..1] B\n",
+     json_doc(cls("A"), cls("B"), relations=[rel("via", "material", "A", "B")]),
+     "'via' is a reserved word", "via"),
+    ("genset_named_by_keyword", SUB_AB[0] + "genset space general A specifics S, U\n",
+     json_doc(*SUB_AB[1], gensets=[genset("space", "A", "S", "U")]),
+     "'space' is a reserved word", "space"),
+    ("label_named_by_keyword", "quality Q\nspace Q nominal {low, general}\n",
+     json_doc(cls("Q", "quality"), spaces=[nominal("Q", "low", "general")]),
+     "'general' is a reserved word", "general"),
 ]
 RULE_IDS = [case[0] for case in DECLARATION_RULES]
 
@@ -241,6 +263,26 @@ def test_declaration_errors_name_their_declaration(rule, dsl, document, fragment
     dsl_messages, json_message = reject_both(dsl, document)
     assert json_message in dsl_messages
     assert f"'{decl}'" in json_message
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"name": "my model"}, "'my model' is not an identifier"),
+    ({"name": "model"}, "'model' is a reserved word"),
+    (json_doc(cls("my class")), "'my class' is not an identifier"),
+    (json_doc(cls("")), "'' is not an identifier"),
+    (json_doc(cls("9A")), "'9A' is not an identifier"),
+    (json_doc(cls("A"), cls("B"), relations=[rel("treated-by", "material", "A", "B")]),
+     "'treated-by' is not an identifier"),
+    (json_doc(*SUB_AB[1], gensets=[genset("G 1", "A", "S", "U")]), "'G 1' is not an identifier"),
+    (json_doc(cls("Q", "quality"), spaces=[nominal("Q", "low", "very high")]),
+     "'very high' is not an identifier"),
+], ids=["model", "model_keyword", "classifier", "empty", "digit_first", "relation", "genset",
+        "label"])
+def test_json_names_must_be_dsl_identifiers(document, message):
+    # no DSL text spells these, so render_dsl of such a model would not re-parse
+    err = load_json(json.dumps(document).encode())
+    assert isinstance(err, ParseError)
+    assert err.message == message
 
 
 # --- load_json is total ----------------------------------------------------------

@@ -119,6 +119,24 @@ def test_integer_too_long_to_convert_is_a_parse_error(text):
     ]
 
 
+# 1500 specialization levels, past the interpreter's default recursion limit
+DEEP = "model Deep\n\nkind A0\n" + "".join(
+    f"subkind A{i} specializes A{i - 1}\n" for i in range(1, 1500)
+)
+
+
+def test_deep_taxonomy_parses():
+    m = parse_text(DEEP)
+    assert isinstance(m, Model)
+    assert m.ancestors("A1499") == {f"A{i}" for i in range(1499)}
+
+
+def test_deep_specialization_cycle_is_found():
+    errs = parse_text(DEEP.replace("kind A0\n", "subkind A0 specializes A1499\n"))
+    assert isinstance(errs, list)
+    assert [e.message for e in errs] == ["specialization cycle through 'A0'"]
+
+
 def test_render_round_trip_all_fixtures():
     for name in ("healthcare_plain.onto", "healthcare_relator.onto", "healthcare_event.onto"):
         original = parse_text((FIXTURES / name).read_text())

@@ -10,6 +10,7 @@ from ontounpack import (
     NotMaterialError,
     QualitySpace,
     RelationStereotype,
+    Scope,
     Stereotype,
     UnorderedSpaceError,
     UnpackError,
@@ -17,6 +18,7 @@ from ontounpack import (
     check,
     derive_material_cardinalities,
     emit_json,
+    enumerate_worlds,
     parse_text,
     render_dsl,
     unpack_comparative,
@@ -128,6 +130,23 @@ def test_unpack_material_roundtrip_clears_check(plain_model):
     # the unpacked model survives both serializations
     assert b"Treatment" in emit_json(after)
     assert "relator Treatment" in render_dsl(after)
+
+
+def test_unpack_material_moves_the_ends_onto_the_roles(plain_model):
+    plan = unpack_material(
+        plain_model, "treatedBy",
+        relator_name="Treatment", role_names=("Patient", "ProviderRole"),
+    )
+    assert plan.set_ends == ("Patient", "ProviderRole")
+    after = apply_plan(plain_model, plan)
+    treated = after.relations["treatedBy"]
+    assert (treated.source, treated.target) == ("Patient", "ProviderRole")
+    # the [1..*] bounds bind those who play the roles, not every Person
+    scope = Scope(per_classifier={"Person": 1, "Organization": 1, "Treatment": 1},
+                  world_limit=10**9)
+    worlds = enumerate_worlds(after, scope)
+    assert len(worlds) == 7
+    assert any(w.extension("Person") and not w.extension("Patient") for w in worlds)
 
 
 def test_unpack_material_reuses_existing_role():

@@ -40,6 +40,16 @@ SEVERITY = (
     "comparative moreSeriousThan : Person -- Person via Severity desc\n"
 )
 
+# Spouse is a role with a defining mediation, and also the source of `loves`
+MARRIAGE = (
+    "model Marriages\n\n"
+    "kind Person\n"
+    "role Spouse specializes Person\n"
+    "relator Marriage\n"
+    "mediation involves : Marriage [1..1] -- [2..2] Spouse\n"
+    "internal loves : Spouse [0..*] -- [0..1] Person\n"
+)
+
 
 def unlimited(**per) -> Scope:
     return Scope(per_classifier=per, world_limit=10**9)
@@ -134,6 +144,18 @@ def test_explicit_entry_caps_roles(relator_model):
     worlds = enumerate_worlds(relator_model, scope)
     assert worlds
     assert all(len(w.extension("Patient")) <= 1 for w in worlds)
+
+
+def test_links_come_only_from_instances_of_their_source():
+    # hand count: without a marriage, 0-2 people (3); with one, two spouses
+    # each loving nobody, themself or the other, up to swapping them (6)
+    m = parse_ok(MARRIAGE)
+    scope = unlimited(Person=2, Marriage=1)
+    worlds = enumerate_worlds(m, scope)
+    assert len(worlds) == 9
+    for w in worlds:
+        assert validate_world(m, w, scope) == [], w
+        assert {s for r, s, _ in w.links if r == "loves"} <= set(w.extension("Spouse"))
 
 
 # --- canonical form: no two emitted worlds are isomorphic -------------------
@@ -331,6 +353,13 @@ def test_scope_value_validation():
             enumerate_worlds(m, scope)
 
 
+def test_scope_refuses_values_of_mixed_types():
+    # worlds sort by their values, and 1 and 'a' do not compare
+    with pytest.raises(ValueError, match="values of quality 'Mood' mix types"):
+        Scope(per_classifier={"Person": 2}, quality_values={"Mood": (1, "a")})
+    Scope(quality_values={"Mood": ("a", "b"), "Severity": (1, 2)})  # per quality is fine
+
+
 def test_default_quality_values_are_lowest_three():
     m = parse_ok(SEVERITY)
     worlds = enumerate_worlds(m, unlimited(Person=1, PathologicalCondition=1))
@@ -412,10 +441,9 @@ def test_mutating_a_returned_list_leaves_the_next_result_alone():
 
 def test_hard_cap_applies_to_an_enumerated_scope():
     model = parse_ok(TOY)
-    scope = unlimited(Person=3)
-    assert len(enumerate_worlds(model, scope)) == 10
+    assert len(enumerate_worlds(model, unlimited(Person=3))) == 10
     with pytest.raises(ScopeTooLargeError):
-        enumerate_worlds(model, scope, max_total_individuals=2)
+        enumerate_worlds(model, unlimited(Person=15))
 
 
 def test_a_model_from_apply_plan_gets_its_own_worlds():
