@@ -163,7 +163,6 @@ class Classifier:
     name: str
     stereotype: Stereotype
     parents: tuple[str, ...] = ()
-    is_abstract: bool = False
     span: SourceSpan = field(default=DEFAULT_SPAN, compare=False)
 
 
@@ -218,9 +217,10 @@ class GeneralizationSet:
 class Model:
     """A resolved conceptual model. Treat as immutable.
 
-    Derived data is memoized on the instance: the taxonomy maps below and
-    the last scope's world list (see worlds.enumerate_worlds). Mutating a
-    model after either is computed leaves them stale.
+    Derived data is memoized on the instance: the taxonomy maps below, and
+    the last scope's world stream and validation tables (see
+    worlds.enumerate_worlds and worlds.validate_world). Mutating a model
+    after any of them is computed leaves them stale.
     """
 
     name: str

@@ -32,7 +32,6 @@ def classifier_dict(c: Classifier) -> dict:
         "name": c.name,
         "stereotype": c.stereotype.value,
         "parents": list(c.parents),
-        "isAbstract": c.is_abstract,
     }
 
 
@@ -150,8 +149,10 @@ def _load_classifier(raw: dict, path: str) -> _RawClassifier:
     stereo = _load_enum(Stereotype, _need(raw, path, "stereotype", str, "string"),
                         f"{path}.stereotype")
     parents = _names(_opt(raw, path, "parents", list, "array", []), f"{path}.parents")
-    abstract = _opt(raw, path, "isAbstract", bool, "boolean", False)
-    return _RawClassifier(stereo, name, parents, DEFAULT_SPAN, abstract)
+    if "isAbstract" in raw:
+        # no rule, world or output reads it, and the DSL cannot spell it
+        raise _Bad(f"{path}.isAbstract", "unsupported field: classifiers have no abstract flag")
+    return _RawClassifier(stereo, name, parents, DEFAULT_SPAN)
 
 
 def _load_relation(raw: dict, path: str) -> _RawRelation:

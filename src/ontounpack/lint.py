@@ -118,7 +118,9 @@ def _ap2(model: Model, scope: Scope) -> list[Diagnostic]:
         space = model.spaces.get(rel.via.quality)
         if space is None or not space.is_ordered:
             continue
-        report = check_metaproperties(model, rel.name, scope, strict=False)
+        report = check_metaproperties(
+            model, rel.name, scope, strict=False, properties=("asymmetric",)
+        )
         if not report.asymmetric:
             world, ids = report.counterexample("asymmetric")
             out.append(Diagnostic(

@@ -134,7 +134,6 @@ class _RawClassifier:
     name: str
     parents: list[tuple[str, SourceSpan]]
     span: SourceSpan
-    is_abstract: bool = False
 
 
 @dataclass
@@ -471,9 +470,7 @@ def _resolve(
         if rc.name in classifiers:
             continue
         parents = tuple(pr[0] for pr in rc.parents if known(pr, rc.name))
-        classifiers[rc.name] = Classifier(
-            rc.name, rc.stereotype, parents, rc.is_abstract, span=rc.span,
-        )
+        classifiers[rc.name] = Classifier(rc.name, rc.stereotype, parents, span=rc.span)
 
     # specialization cycles make every taxonomy query meaningless: reject here
     state: dict[str, int] = {}  # 1 while on the walk's path, 2 once finished

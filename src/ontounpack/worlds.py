@@ -3,8 +3,16 @@
 A world is a finite interpretation of a model: individuals carrying type
 sets, links for the dependence relations (mediation, participation, internal,
 mode characterization), derived material links, and quality values. The
-enumerator is exhaustive within a Scope, returns canonically-ordered,
-pairwise non-isomorphic worlds, and is deterministic.
+enumerator is exhaustive within a Scope, yields pairwise non-isomorphic
+worlds, and is deterministic.
+
+Worlds form a stream ordered by (individual count, per-base count vector,
+canonical key): count vectors come in increasing total and each vector is
+generated, deduped and sorted on its own. A query stops pulling once it has
+its answer, so a witness is a world with the fewest individuals in scope and
+costs only the worlds before it. Queries on one Model instance and scope
+share the stream: the prefix generated so far is kept, and a later query
+resumes the generator where the last one stopped.
 
 Symmetry handling: individuals of one identity base are interchangeable, so
 free type profiles are assigned as sorted multisets, never-targeted bases get
@@ -15,9 +23,17 @@ classes) before deduplication.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, groupby, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    islice,
+    permutations,
+    product,
+)
 from operator import itemgetter
 
 from .core import (
@@ -373,49 +389,107 @@ MAX_TOTAL_INDIVIDUALS = 14
 
 
 def enumerate_worlds(model: Model, scope: Scope | None = None) -> list[InstanceWorld]:
-    """All pairwise non-isomorphic worlds within scope, canonically ordered.
+    """The first scope.world_limit pairwise non-isomorphic worlds within scope.
 
-    Exhaustive whenever the total count fits under scope.world_limit; the
-    list is truncated to world_limit otherwise. Queries on one Model instance
-    and scope (this, find_witness, check_metaproperties) share one
-    enumeration; world_limit only slices it. A scope admitting more than
+    Worlds come in the order (individual count, per-base count vector,
+    canonical key), so the list is exhaustive whenever the total count fits
+    under world_limit, and otherwise holds the smallest worlds. Only the
+    worlds returned are generated. Queries on one Model instance and scope
+    (this, find_witness, check_metaproperties) share one stream of worlds,
+    and each resumes it where the last stopped. A scope admitting more than
     MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
     """
     scope = scope or DEFAULT_SCOPE
-    return list(_enumerate_all(model, scope)[: scope.world_limit])
+    return list(islice(_shared_worlds(model, scope), scope.world_limit))
 
 
 _WORLDS_MEMO = "_worlds_memo"
 
 
-def _enumerate_all(model: Model, scope: Scope) -> tuple[InstanceWorld, ...]:
-    """Every world of (model, scope), enumerated once per Model instance and scope.
+class _Stream:
+    """The worlds one generator has yielded so far, and that generator.
 
-    The last scope's worlds stay in the model's __dict__ next to its
+    Each iteration walks the prefix by index and pulls from the generator
+    only past its end, so interleaved iterations each see every world. A
+    generator that raises is dead: the stream drops itself from its model's
+    memo, and any iteration that reaches its end raises the same error, so
+    no query reads a truncated list.
+    """
+
+    def __init__(self, home: dict, source: Iterator[InstanceWorld]):
+        self.home = home  # the model's __dict__, which holds this stream's memo entry
+        self.prefix: list[InstanceWorld] = []
+        self.source: Iterator[InstanceWorld] | None = source  # None once exhausted
+        self.error: BaseException | None = None
+
+    def __iter__(self) -> Iterator[InstanceWorld]:
+        i = 0
+        while i < len(self.prefix) or self._grow():
+            yield self.prefix[i]
+            i += 1
+
+    def _grow(self) -> bool:
+        """Pull one more world into the prefix; False once the source is exhausted."""
+        if self.error is not None:
+            raise self.error
+        if self.source is None:
+            return False
+        try:
+            self.prefix.append(next(self.source))
+        except StopIteration:
+            self.source = None
+            return False
+        except BaseException as exc:
+            self.error, self.source = exc, None
+            entry = self.home.get(_WORLDS_MEMO)
+            if entry is not None and entry[1] is self:
+                del self.home[_WORLDS_MEMO]
+            raise
+        return True
+
+
+def _shared_worlds(model: Model, scope: Scope) -> Iterator[InstanceWorld]:
+    """The worlds of (model, scope) from the first, generated once per Model instance and scope.
+
+    The last scope's stream stays in the model's __dict__ next to its
     cached_property maps (so ==, repr and output are unaffected), keyed on
     everything in the scope but world_limit.
     """
     # values keep their type in the key: 1 == 1.0, yet they make different worlds
     values = tuple((q, tuple((type(v), v) for v in vs)) for q, vs in scope.quality_values)
     key = (scope.per_classifier, scope.default_count, values)
-    memo = model.__dict__.get(_WORLDS_MEMO)
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    entry = model.__dict__.get(_WORLDS_MEMO)
+    if entry is None or entry[0] != key:
+        entry = (key, _Stream(model.__dict__, _iter_worlds(model, scope)))
+        model.__dict__[_WORLDS_MEMO] = entry
+    return iter(entry[1])
+
+
+def _iter_worlds(model: Model, scope: Scope) -> Iterator[InstanceWorld]:
+    """Every canonical world of (model, scope), ordered by (individual count, count vector, key).
+
+    Count vectors (individuals per identity base) come in increasing total,
+    and each vector's keys are deduped and sorted on their own, so no world
+    waits for a larger one. Whatever refuses the model or the scope (rule
+    Errors, a scope over MAX_TOTAL_INDIVIDUALS, scope values outside their
+    space) raises here, before the generator is returned.
+    """
     _check_model(model)
     prep = _Prep(model, scope)
-    bases = prep.bases
-    caps = [scope.count_for_base(b) for b in bases]
+    caps = [scope.count_for_base(b) for b in prep.bases]
     if sum(caps) > MAX_TOTAL_INDIVIDUALS:
         raise ScopeTooLargeError(
             f"scope admits up to {sum(caps)} individuals; "
             f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
         )
-    keys: set[tuple] = set()
-    for counts in product(*(range(cap + 1) for cap in caps)):
-        keys.update(_worlds_for_counts(prep, dict(zip(bases, counts))))
-    worlds = tuple(InstanceWorld(*rows) for rows in sorted(keys))
-    model.__dict__[_WORLDS_MEMO] = (key, worlds)
-    return worlds
+    for c in prep.value_chars:
+        prep.allowed_values(c.source)
+    vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
+    return (
+        InstanceWorld(*rows)
+        for counts in vectors
+        for rows in sorted(set(_worlds_for_counts(prep, dict(zip(prep.bases, counts)))))
+    )
 
 
 def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
@@ -699,10 +773,26 @@ def _canonicalize(individuals, types, links, values):
 # validation (independent re-check of every world invariant)
 # --------------------------------------------------------------------------
 
+_PREP_MEMO = "_validation_prep"
+
+
+def _validation_prep(model: Model, scope: Scope) -> _Prep:
+    """The _Prep validate_world reads, built once per Model instance and scope.
+
+    Kept apart from the world stream's, so validation shares no state with
+    the enumerator it re-checks.
+    """
+    memo = model.__dict__.get(_PREP_MEMO)
+    if memo is None or memo[0] != scope:
+        memo = (scope, _Prep(model, scope))
+        model.__dict__[_PREP_MEMO] = memo
+    return memo[1]
+
+
 def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = None) -> list[str]:
     """All invariant violations in `world`, as human-readable strings."""
     problems: list[str] = []
-    prep = _Prep(model, scope or DEFAULT_SCOPE)
+    prep = _validation_prep(model, scope or DEFAULT_SCOPE)
     cls = model.classifiers
     ids = set()
     base_of_ind: dict[str, str] = {}
@@ -892,14 +982,17 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
 # --------------------------------------------------------------------------
 
 def find_witness(model: Model, scope: Scope | None, goal: Goal) -> InstanceWorld | None:
-    """Canonically-first in-scope world satisfying the goal, or None.
+    """An in-scope world with the fewest individuals that satisfies the goal, or None.
 
-    Exhaustive regardless of scope.world_limit — a witness search must not
-    miss worlds the limit would truncate. Searches on one Model instance and
-    scope share one enumeration with the other world queries.
+    The first such world in enumerate_worlds order: among the witnesses with
+    the fewest individuals, the one with the least count vector, then the
+    least canonical key. Exhaustive regardless of scope.world_limit, since a
+    witness search must not miss worlds the limit would truncate, yet it
+    generates no world past the witness. Searches on one Model instance and
+    scope share one stream of worlds with the other world queries.
     """
     scope = scope or DEFAULT_SCOPE
-    for world in _enumerate_all(model, scope):
+    for world in _shared_worlds(model, scope):
         if goal_holds(world, goal):
             return world
     return None
@@ -994,14 +1087,20 @@ def eval_comparative(
     return pairs
 
 
+_METAPROPERTIES = ("irreflexive", "asymmetric", "transitive")
+
+
 @dataclass(frozen=True)
 class MetaReport:
-    """Brute-force meta-property verdicts with first counterexamples."""
+    """Brute-force meta-property verdicts with first counterexamples.
+
+    A verdict is None when the property was not asked for.
+    """
 
     relation: str
-    irreflexive: bool
-    asymmetric: bool
-    transitive: bool
+    irreflexive: bool | None
+    asymmetric: bool | None
+    transitive: bool | None
     counterexamples: tuple[tuple[str, InstanceWorld, tuple[str, ...]], ...] = ()
 
     def counterexample(self, prop: str):
@@ -1023,19 +1122,43 @@ class MetaReport:
         }
 
 
+def _counterexample(prop: str, pairs: set[tuple[str, str]]) -> tuple[str, ...] | None:
+    """The least individuals in `pairs` that break `prop`, or None."""
+    ordered = sorted(pairs)
+    if prop == "irreflexive":
+        return next(((x,) for x, y in ordered if x == y), None)
+    if prop == "asymmetric":
+        return next(((x, y) for x, y in ordered if (y, x) in pairs), None)
+    return next(
+        ((x, y, z) for x, y in ordered for y2, z in ordered if y2 == y and (x, z) not in pairs),
+        None,
+    )
+
+
 def check_metaproperties(
     model: Model,
     relation: str,
     scope: Scope | None = None,
     *,
     strict: bool = True,
+    properties: tuple[str, ...] = _METAPROPERTIES,
 ) -> MetaReport:
-    """Test irreflexivity/asymmetry/transitivity over every in-scope world.
+    """Test the asked meta-properties of a relation over every in-scope world.
 
-    Checks on one Model instance and scope share one enumeration with the
-    other world queries, whatever the relation or strictness.
+    `properties` names any of irreflexive, asymmetric and transitive; a
+    property not asked is reported as None and gets no counterexample. Each
+    counterexample is the first in enumerate_worlds order, so it has the
+    fewest individuals in scope. The search stops once every asked property
+    has one; a property that holds is checked in every world. Checks on one
+    Model instance and scope share one stream of worlds with the other
+    world queries, whatever the relation or strictness.
     """
     scope = scope or DEFAULT_SCOPE
+    unknown = sorted(set(properties) - set(_METAPROPERTIES))
+    if unknown:
+        raise ValueError(
+            f"unknown meta-property '{unknown[0]}'; expected one of {', '.join(_METAPROPERTIES)}"
+        )
     rel = model.relations.get(relation)
     if rel is None:
         raise ValueError(f"no relation named '{relation}'")
@@ -1044,39 +1167,24 @@ def check_metaproperties(
             f"'{relation}' is {rel.stereotype.value}; meta-properties apply to "
             "comparative or internal relations"
         )
+    asked = [p for p in _METAPROPERTIES if p in properties]
     counter: dict[str, tuple[InstanceWorld, tuple[str, ...]]] = {}
-    for world in _enumerate_all(model, scope):
+    for world in _shared_worlds(model, scope):
         if rel.stereotype is RelationStereotype.COMPARATIVE:
             pairs = eval_comparative(world, model, relation, strict=strict)
         else:
             pairs = {(s, t) for r, s, t in world.links if r == relation}
-        if "irreflexive" not in counter:
-            for x, y in sorted(pairs):
-                if x == y:
-                    counter["irreflexive"] = (world, (x,))
-                    break
-        if "asymmetric" not in counter:
-            for x, y in sorted(pairs):
-                if (y, x) in pairs:
-                    counter["asymmetric"] = (world, (x, y))
-                    break
-        if "transitive" not in counter:
-            done = False
-            for x, y in sorted(pairs):
-                for y2, z in sorted(pairs):
-                    if y2 == y and (x, z) not in pairs:
-                        counter["transitive"] = (world, (x, y, z))
-                        done = True
-                        break
-                if done:
-                    break
-        if len(counter) == 3:
+        for prop in asked:
+            if prop not in counter:
+                ids = _counterexample(prop, pairs)
+                if ids is not None:
+                    counter[prop] = (world, ids)
+        if len(counter) == len(asked):
             break
+    verdicts = {p: (p not in counter) if p in asked else None for p in _METAPROPERTIES}
     return MetaReport(
         relation=relation,
-        irreflexive="irreflexive" not in counter,
-        asymmetric="asymmetric" not in counter,
-        transitive="transitive" not in counter,
+        **verdicts,
         counterexamples=tuple(
             (name, world, ids) for name, (world, ids) in sorted(counter.items())
         ),

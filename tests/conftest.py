@@ -54,6 +54,20 @@ def enumerations(monkeypatch) -> list[Model]:
     return seen
 
 
+@pytest.fixture
+def canonicalizations(monkeypatch) -> list[list]:
+    """The individuals of every candidate world the world finder canonicalizes during the test."""
+    seen: list[list] = []
+    real_canonicalize = ontounpack.worlds._canonicalize
+
+    def counting_canonicalize(individuals, *rest):
+        seen.append(individuals)
+        return real_canonicalize(individuals, *rest)
+
+    monkeypatch.setattr(ontounpack.worlds, "_canonicalize", counting_canonicalize)
+    return seen
+
+
 def isomorphic(w1: InstanceWorld, w2: InstanceWorld) -> bool:
     """Brute-force base-preserving relabeling check between two worlds."""
     base1 = dict(w1.individuals)

@@ -229,6 +229,26 @@ def test_quality_value_outside_its_space_exits_2(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "lint"])
+def test_quality_value_outside_its_space_exits_2_before_any_witness(capsys, tmp_path, command):
+    # lint finds its AP1 witness among worlds without a condition, so the
+    # scope's values must be checked before the first world, not when one is valued
+    src = tmp_path / "severe_event.onto"
+    src.write_text(
+        Path(EVENT).read_text()
+        + "mode PathologicalCondition\nquality Severity\nspace Severity ordered 0..100\n"
+        "characterization hasCondition : PathologicalCondition [0..*] -- [1..1] Person\n"
+        "characterization hasSeverity : Severity [1..1] -- [1..1] PathologicalCondition\n"
+    )
+    code, out, err = run(
+        capsys, command, str(src), "--scope", "Person=1,Treatment=1,PathologicalCondition=1",
+        "--quality-values", "Severity={500}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "scope value 500 outside the space of quality 'Severity'" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "lint"])
 def test_quality_values_of_mixed_types_exit_2(capsys, tmp_path, command):
     # Mood has no space, so the scope's values are taken as given
     src = tmp_path / "moods.onto"

@@ -78,6 +78,16 @@ def test_dangling_parent_rejected(plain_model):
     assert isinstance(err, ParseError)
 
 
+def test_is_abstract_is_refused_at_its_path(plain_model):
+    # no rule, world or output reads an abstract flag, and no DSL text spells it
+    doc = json.loads(emit_json(plain_model))
+    assert all("isAbstract" not in c for c in doc["classifiers"])
+    doc["classifiers"][1]["isAbstract"] = False
+    err = load_json(json.dumps(doc).encode())
+    assert isinstance(err, ParseError)
+    assert err.message.startswith("classifiers[1].isAbstract: unsupported field")
+
+
 def test_deep_taxonomy_loads():
     # 1500 specialization levels, past the interpreter's default recursion limit
     doc = {"name": "Deep", "classifiers": [{"name": "A0", "stereotype": "kind"}] + [

@@ -56,6 +56,12 @@ def test_ap1_witness_is_a_real_overlap(event_model):
     assert validate_world(event_model, w, PAIR_SCOPE) == []
 
 
+def test_ap1_witness_has_the_fewest_individuals(event_model):
+    # one person filling both ends of one treatment is the plainest witness
+    (d,) = ap(lint(event_model, PAIR_SCOPE), "AP1")
+    assert sorted(base for _, base in d.witness.individuals) == ["Person", "Treatment"]
+
+
 def test_ap1_disjoint_genset_removes_the_finding():
     guarded = parse_ok(EVENT_TEXT + "\n" + DISJOINT_GENSET)
     assert ap(lint(guarded, PAIR_SCOPE), "AP1") == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import ontounpack.worlds
@@ -24,7 +26,9 @@ from ontounpack import (
     validate_world,
 )
 
-from conftest import assert_no_isomorphic_pair, parse_ok
+from ontounpack.core import identity_root
+
+from conftest import assert_no_isomorphic_pair, load_fixture, parse_ok
 
 TOY = "model Toy\n\nkind Person\nphase Happy specializes Person\n"
 
@@ -368,20 +372,16 @@ def test_default_quality_values_are_lowest_three():
 
 
 @pytest.mark.parametrize("people, count", [(1, 5), (2, 15), (3, 35)])
-def test_optional_values_on_a_pure_base_are_canonicalized_once(monkeypatch, people, count):
+def test_optional_values_on_a_pure_base_are_canonicalized_once(canonicalizations, people, count):
     # Person is never a link target, so its optional Mood is chosen with the
     # Person's multiset option and never enumerated a second time
     model = parse_ok(
         "model Moods\n\nkind Person\nquality Mood\nspace Mood ordered 0..9\n"
         "characterization hasMood : Mood [0..1] -- [1..1] Person\n"
     )
-    calls = []
-    real = ontounpack.worlds._canonicalize
-    monkeypatch.setattr(ontounpack.worlds, "_canonicalize",
-                        lambda *args: calls.append(1) or real(*args))
     worlds = enumerate_worlds(model, unlimited(Person=people))
     assert len(worlds) == count
-    assert len(calls) == count
+    assert len(canonicalizations) == count
     assert_no_isomorphic_pair(worlds)
 
 
@@ -458,3 +458,173 @@ def test_a_model_from_apply_plan_gets_its_own_worlds():
     expected = enumerate_worlds(parse_ok(TOY + "phase Sad specializes Person\n"), scope)
     assert len(expected) > 3
     assert enumerate_worlds(grown, scope) == expected
+
+
+# --- a size-ordered, stoppable stream of worlds ---------------------------------
+
+RELATOR_P3O3T3PC1 = {"Person": 3, "Organization": 3, "Treatment": 3, "PathologicalCondition": 1}
+
+
+def test_the_first_world_costs_at_most_one_canonicalization(canonicalizations):
+    # the full list takes 13,712 canonicalizations
+    model = load_fixture("healthcare_relator.onto")
+    scope = Scope(per_classifier=RELATOR_P3O3T3PC1, world_limit=1)
+    assert enumerate_worlds(model, scope) == [EMPTY_WORLD]
+    assert len(canonicalizations) <= 1
+
+
+@pytest.mark.parametrize("text, per", [
+    ("healthcare_relator.onto",
+     {"Person": 2, "Organization": 1, "Treatment": 2, "PathologicalCondition": 1}),
+    ("healthcare_event.onto", {"Person": 2, "Treatment": 2, "Organization": 1}),
+    (SEVERITY, {"Person": 2, "PathologicalCondition": 3}),
+], ids=["relator", "event", "severity"])
+def test_worlds_come_by_size_then_count_vector_then_key(text, per):
+    model = load_fixture(text) if text.endswith(".onto") else parse_ok(text)
+    worlds = enumerate_worlds(model, unlimited(**per))
+    sizes = [len(w.individuals) for w in worlds]
+    assert sizes == sorted(sizes)  # individual counts never decrease
+    bases = sorted(c for c in model.classifiers if identity_root(model, c) == c)
+
+    def order(w):
+        census = Counter(b for _, b in w.individuals)
+        vector = tuple(census[b] for b in bases)
+        return sum(vector), vector, (w.individuals, w.type_rows, w.links, w.value_rows)
+
+    assert [order(w) for w in worlds] == sorted(order(w) for w in worlds)
+
+
+def test_interleaved_iterations_each_see_every_world():
+    model = parse_ok(SEVERITY)
+    scope = unlimited(Person=2, PathologicalCondition=3)
+    a = ontounpack.worlds._shared_worlds(model, scope)
+    b = ontounpack.worlds._shared_worlds(model, scope)
+    head = [next(a) for _ in range(5)]
+    all_b = list(b)  # reads a's prefix, then pulls the rest
+    rest_a = list(a)  # reads the rest from the prefix b pulled
+    assert head + rest_a == all_b == enumerate_worlds(parse_ok(SEVERITY), scope)
+    assert len(all_b) == 45
+
+
+def _fail_on_two_individuals(monkeypatch):
+    real = ontounpack.worlds._canonicalize
+
+    def failing(individuals, *rest):
+        if len(individuals) == 2:
+            raise RuntimeError("boom")
+        return real(individuals, *rest)
+
+    monkeypatch.setattr(ontounpack.worlds, "_canonicalize", failing)
+
+
+def test_a_stream_that_fails_midway_is_not_kept(monkeypatch):
+    model = parse_ok(TOY)
+    scope = unlimited(Person=3)
+    _fail_on_two_individuals(monkeypatch)
+    # the three worlds of up to one individual come before the failure
+    assert len(enumerate_worlds(model, Scope(per_classifier={"Person": 3}, world_limit=3))) == 3
+    for _ in range(2):  # the same query raises again, and reads no truncated list
+        with pytest.raises(RuntimeError, match="boom"):
+            enumerate_worlds(model, scope)
+    with pytest.raises(RuntimeError, match="boom"):
+        find_witness(model, scope, Goal(typings=(("x", "Sad"),)))  # no witness: scans all
+    monkeypatch.undo()
+    assert len(enumerate_worlds(model, scope)) == 10
+
+
+def test_a_live_iteration_raises_when_its_stream_fails(monkeypatch):
+    model = parse_ok(TOY)
+    scope = unlimited(Person=3)
+    a = ontounpack.worlds._shared_worlds(model, scope)
+    b = ontounpack.worlds._shared_worlds(model, scope)
+    assert len([next(a) for _ in range(3)]) == 3
+    _fail_on_two_individuals(monkeypatch)
+    with pytest.raises(RuntimeError, match="boom"):
+        list(b)
+    with pytest.raises(RuntimeError, match="boom"):
+        next(a)
+
+
+def test_scope_values_are_checked_before_the_first_world():
+    # no world of this scope has a condition to value, yet 999 is refused
+    m = parse_ok(SEVERITY)
+    scope = Scope(per_classifier={"Person": 1, "PathologicalCondition": 0},
+                  quality_values={"Severity": (999,)}, world_limit=1)
+    with pytest.raises(ValueError, match="scope value 999 outside the space"):
+        enumerate_worlds(m, scope)
+    with pytest.raises(ValueError, match="scope value 999 outside the space"):
+        find_witness(m, scope, Goal(typings=(("x", "Person"),)))
+
+
+def test_interleaved_queries_match_queries_on_fresh_models():
+    scope = Scope(per_classifier={"Person": 2, "PathologicalCondition": 3},
+                  quality_values={"Severity": (0, 1, 2)})
+    two_conditions = Goal(
+        typings=(("p", "Person"), ("c", "PathologicalCondition"), ("d", "PathologicalCondition")),
+        links=(("hasCondition", "c", "p"), ("hasCondition", "d", "p")),
+    )
+    asks = [
+        lambda m: find_witness(m, scope, Goal(typings=(("c", "PathologicalCondition"),))),
+        lambda m: check_metaproperties(m, "moreSevereThan", scope, strict=False,
+                                       properties=("asymmetric",)),
+        lambda m: enumerate_worlds(m, scope),
+        lambda m: find_witness(m, scope, two_conditions),
+        lambda m: check_metaproperties(m, "moreSeriousThan", scope, strict=False),
+        lambda m: check_metaproperties(m, "moreSevereThan", scope),
+        lambda m: find_witness(m, scope, Goal(typings=(("p", "Person"),))),
+    ]
+    model = parse_ok(SEVERITY)
+    shared = [ask(model) for ask in asks]
+    assert shared == [ask(parse_ok(SEVERITY)) for ask in asks]
+    assert [len(w.individuals) for w in (shared[0], shared[3], shared[6])] == [2, 2, 1]
+
+
+def test_metaproperties_report_only_what_was_asked():
+    m = parse_ok(SEVERITY)
+    scope = Scope(per_classifier={"Person": 2, "PathologicalCondition": 2},
+                  quality_values={"Severity": (0, 1, 2)})
+    rep = check_metaproperties(m, "moreSevereThan", scope, strict=False,
+                               properties=("asymmetric",))
+    assert (rep.irreflexive, rep.asymmetric, rep.transitive) == (None, False, None)
+    assert [name for name, _, _ in rep.counterexamples] == ["asymmetric"]
+    full = check_metaproperties(m, "moreSevereThan", scope, strict=False)
+    assert (full.irreflexive, full.asymmetric) == (False, False)
+    assert rep.counterexample("asymmetric") == full.counterexample("asymmetric")
+    with pytest.raises(ValueError, match="unknown meta-property 'reflexive'"):
+        check_metaproperties(m, "moreSevereThan", scope, properties=("asymmetric", "reflexive"))
+
+
+def test_a_metaproperty_check_stops_at_its_last_counterexample(canonicalizations):
+    # it generates exactly the worlds up to its counterexample's count vector
+    per = {"Person": 2, "Organization": 1, "Treatment": 2, "PathologicalCondition": 1}
+    scope = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
+                  world_limit=10**9)
+    full = enumerate_worlds(load_fixture("healthcare_relator.onto"), scope)
+    full_cost = len(canonicalizations)
+    canonicalizations.clear()
+    rep = check_metaproperties(load_fixture("healthcare_relator.onto"), "moreSevereThan",
+                               scope, strict=False, properties=("asymmetric",))
+    check_cost = len(canonicalizations)
+    canonicalizations.clear()
+    world, _ = rep.counterexample("asymmetric")
+    upto = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
+                 world_limit=full.index(world) + 1)
+    enumerate_worlds(load_fixture("healthcare_relator.onto"), upto)
+    assert check_cost == len(canonicalizations) < full_cost
+
+
+def test_validating_many_worlds_builds_one_prep(monkeypatch, relator_model):
+    scope = Scope(default_count=1, world_limit=10**9)
+    worlds = enumerate_worlds(relator_model, scope)
+    model = load_fixture("healthcare_relator.onto")
+    built = []
+    real = ontounpack.worlds._Prep
+
+    class CountingPrep(real):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ontounpack.worlds, "_Prep", CountingPrep)
+    assert all(validate_world(model, w, scope) == [] for w in worlds)
+    assert len(worlds) == 28 and len(built) == 1
