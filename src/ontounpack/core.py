@@ -218,9 +218,10 @@ class Model:
     """A resolved conceptual model. Treat as immutable.
 
     Derived data is memoized on the instance: the taxonomy maps below, and
-    the last scope's world stream and validation tables (see
-    worlds.enumerate_worlds and worlds.validate_world). Mutating a model
-    after any of them is computed leaves them stale.
+    one world-layer entry holding the tables the world finder, validate_world
+    and eval_comparative read, with the last scope's world stream (see
+    worlds._prep). Mutating a model after any of them is computed leaves
+    them stale.
     """
 
     name: str
@@ -297,9 +298,6 @@ class Model:
 
     # -- relation indexes ----------------------------------------------
 
-    def relations_of(self, stereotype: RelationStereotype) -> list[RelationDecl]:
-        return [r for r in self.relations.values() if r.stereotype is stereotype]
-
     def mediations_of(self, relator: str) -> list[RelationDecl]:
         """Mediations declared on the relator or inherited from an ancestor."""
         owners = self.ancestors_or_self(relator)
@@ -371,21 +369,6 @@ def identity_root(model: Model, name: str) -> str | None:
     return None
 
 
-def possible_kinds(model: Model, name: str) -> frozenset[str]:
-    """Kinds whose individuals could instantiate `name`.
-
-    For a sortal this is its ultimate kind; for a non-sortal, the kinds of its
-    sortal descendants (a mixin's extension is whatever its sortal
-    specializations admit).
-    """
-    roots: set[str] = set()
-    for s in model.sortal_descendants_or_self(name):
-        kinds = model.kinds_reached(s)
-        if len(kinds) == 1:
-            roots |= kinds
-    return frozenset(roots)
-
-
 def new_model(name: str) -> Model:
     return Model(name=name)
 
@@ -443,7 +426,6 @@ __all__ = [
     "rigidity",
     "ultimate_kind",
     "identity_root",
-    "possible_kinds",
     "new_model",
     "with_declarations",
     "replace",

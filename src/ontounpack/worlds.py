@@ -11,8 +11,12 @@ canonical key): count vectors come in increasing total and each vector is
 generated, deduped and sorted on its own. A query stops pulling once it has
 its answer, so a witness is a world with the fewest individuals in scope and
 costs only the worlds before it. Queries on one Model instance and scope
-share the stream: the prefix generated so far is kept, and a later query
-resumes the generator where the last one stopped.
+(enumerate_worlds, find_witness, check_metaproperties) share one stream: it
+keeps the worlds generated so far, grows by one whole count vector at a
+time, and a later query resumes it where the last one stopped. An error
+while a vector is generated leaves the stream as it was, so the next query
+that reaches that vector raises it again, and once its cause is gone the
+stream resumes at that vector.
 
 Symmetry handling: individuals of one identity base are interchangeable, so
 free type profiles are assigned as sorted multisets, never-targeted bases get
@@ -204,9 +208,11 @@ _STORED = (
 
 
 class _Prep:
-    def __init__(self, model: Model, scope: Scope):
+    """Tables derived from a model alone, built once per Model instance (see _prep)."""
+
+    def __init__(self, model: Model):
         self.model = model
-        self.scope = scope
+        self.stream: _Stream | None = None  # the last scope's worlds
         cls = model.classifiers
 
         self.base_of: dict[str, str | None] = {
@@ -289,6 +295,25 @@ class _Prep:
         self.pure_bases: list[str] = [b for b in self.bases if b not in targeted]
         self.open_bases: list[str] = [b for b in self.bases if b in targeted]
 
+        # what grounds a comparative's quality: its direct characterizations in
+        # declaration order, and (name, value required) of each mode
+        # characterization whose mode one of them characterizes
+        chars = [r for r in model.relations.values()
+                 if r.stereotype is RelationStereotype.CHARACTERIZATION]
+        self.groundings: dict[str, tuple[list[RelationDecl], list[tuple[str, bool]]]] = {}
+        for q in {r.via.quality for r in model.relations.values() if r.via is not None}:
+            direct = [c for c in chars if c.source == q]
+            modes = []
+            for mc in chars:
+                if not characterizes(mc, Stereotype.MODE):
+                    continue
+                grounding = [d for d in direct if d.target in model.ancestors_or_self(mc.source)]
+                if grounding:
+                    modes.append((mc.name, any(
+                        d.source_mult is not None and d.source_mult.min >= 1 for d in grounding
+                    )))
+            self.groundings[q] = (direct, modes)
+
     # -- taxonomy helpers ------------------------------------------------
 
     def bases_of(self, classifier: str) -> frozenset[str]:
@@ -343,24 +368,27 @@ class _Prep:
                 out |= self.model.ancestors_or_self(j)
         return frozenset(out)
 
-    def allowed_values(self, quality: str) -> tuple:
-        space = self.model.spaces.get(quality)
-        chosen = self.scope.values_for(quality)
-        if space is None:
+    def allowed_values(self, scope: Scope) -> dict[str, tuple]:
+        """The values each characterized quality takes in `scope`, checked against its space."""
+        table: dict[str, tuple] = {}
+        for quality in dict.fromkeys(c.source for c in self.value_chars):
+            space = self.model.spaces.get(quality)
+            chosen = scope.values_for(quality)
             if chosen is not None:
-                return chosen
-            raise ValueError(f"quality '{quality}' has no declared space and no scope values")
-        if chosen is not None:
-            bad = [v for v in chosen if not space.contains(v)]
-            if bad:
-                raise ValueError(
-                    f"scope value {bad[0]!r} outside the space of quality '{quality}'"
-                )
-            return chosen
-        if space.ordered is not None:
-            lo, hi = space.ordered
-            return tuple(range(lo, min(lo + 3, hi + 1)))
-        return (space.labels or ())[:3]
+                bad = [v for v in chosen if space is not None and not space.contains(v)]
+                if bad:
+                    raise ValueError(
+                        f"scope value {bad[0]!r} outside the space of quality '{quality}'"
+                    )
+                table[quality] = chosen
+            elif space is None:
+                raise ValueError(f"quality '{quality}' has no declared space and no scope values")
+            elif space.ordered is not None:
+                lo, hi = space.ordered
+                table[quality] = tuple(range(lo, min(lo + 3, hi + 1)))
+            else:
+                table[quality] = (space.labels or ())[:3]
+        return table
 
 
 def _target_subsets(candidates: tuple, mult: Multiplicity | None):
@@ -394,106 +422,100 @@ def enumerate_worlds(model: Model, scope: Scope | None = None) -> list[InstanceW
     Worlds come in the order (individual count, per-base count vector,
     canonical key), so the list is exhaustive whenever the total count fits
     under world_limit, and otherwise holds the smallest worlds. Only the
-    worlds returned are generated. Queries on one Model instance and scope
-    (this, find_witness, check_metaproperties) share one stream of worlds,
-    and each resumes it where the last stopped. A scope admitting more than
+    worlds returned are generated. A scope admitting more than
     MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
     """
     scope = scope or DEFAULT_SCOPE
     return list(islice(_shared_worlds(model, scope), scope.world_limit))
 
 
-_WORLDS_MEMO = "_worlds_memo"
+_PREP_MEMO = "_world_prep"
 
 
-class _Stream:
-    """The worlds one generator has yielded so far, and that generator.
+def _prep(model: Model) -> _Prep:
+    """The model's _Prep, built once per Model instance.
 
-    Each iteration walks the prefix by index and pulls from the generator
-    only past its end, so interleaved iterations each see every world. A
-    generator that raises is dead: the stream drops itself from its model's
-    memo, and any iteration that reaches its end raises the same error, so
-    no query reads a truncated list.
+    It stays in the model's __dict__ next to its cached_property maps (so ==,
+    repr and output are unaffected) and holds the last scope's stream.
     """
-
-    def __init__(self, home: dict, source: Iterator[InstanceWorld]):
-        self.home = home  # the model's __dict__, which holds this stream's memo entry
-        self.prefix: list[InstanceWorld] = []
-        self.source: Iterator[InstanceWorld] | None = source  # None once exhausted
-        self.error: BaseException | None = None
-
-    def __iter__(self) -> Iterator[InstanceWorld]:
-        i = 0
-        while i < len(self.prefix) or self._grow():
-            yield self.prefix[i]
-            i += 1
-
-    def _grow(self) -> bool:
-        """Pull one more world into the prefix; False once the source is exhausted."""
-        if self.error is not None:
-            raise self.error
-        if self.source is None:
-            return False
-        try:
-            self.prefix.append(next(self.source))
-        except StopIteration:
-            self.source = None
-            return False
-        except BaseException as exc:
-            self.error, self.source = exc, None
-            entry = self.home.get(_WORLDS_MEMO)
-            if entry is not None and entry[1] is self:
-                del self.home[_WORLDS_MEMO]
-            raise
-        return True
+    prep = model.__dict__.get(_PREP_MEMO)
+    if prep is None:
+        prep = model.__dict__[_PREP_MEMO] = _Prep(model)
+    return prep
 
 
 def _shared_worlds(model: Model, scope: Scope) -> Iterator[InstanceWorld]:
-    """The worlds of (model, scope) from the first, generated once per Model instance and scope.
-
-    The last scope's stream stays in the model's __dict__ next to its
-    cached_property maps (so ==, repr and output are unaffected), keyed on
-    everything in the scope but world_limit.
-    """
+    """The worlds of (model, scope) from the first, generated once per Model instance and scope."""
+    prep = _prep(model)
     # values keep their type in the key: 1 == 1.0, yet they make different worlds
     values = tuple((q, tuple((type(v), v) for v in vs)) for q, vs in scope.quality_values)
     key = (scope.per_classifier, scope.default_count, values)
-    entry = model.__dict__.get(_WORLDS_MEMO)
-    if entry is None or entry[0] != key:
-        entry = (key, _Stream(model.__dict__, _iter_worlds(model, scope)))
-        model.__dict__[_WORLDS_MEMO] = entry
-    return iter(entry[1])
+    if prep.stream is None or prep.stream.key != key:
+        prep.stream = _Stream(prep, scope, key)
+    return iter(prep.stream)
 
 
-def _iter_worlds(model: Model, scope: Scope) -> Iterator[InstanceWorld]:
-    """Every canonical world of (model, scope), ordered by (individual count, count vector, key).
+class _Stream:
+    """The worlds of one model and scope, ordered by (individual count, count vector, key).
 
     Count vectors (individuals per identity base) come in increasing total,
     and each vector's keys are deduped and sorted on their own, so no world
     waits for a larger one. Whatever refuses the model or the scope (rule
-    Errors, a scope over MAX_TOTAL_INDIVIDUALS, scope values outside their
-    space) raises here, before the generator is returned.
+    Errors, names the model does not declare, a scope over
+    MAX_TOTAL_INDIVIDUALS, scope values outside their space) raises on
+    creation, before the first world.
     """
-    _check_model(model)
-    prep = _Prep(model, scope)
-    caps = [scope.count_for_base(b) for b in prep.bases]
-    if sum(caps) > MAX_TOTAL_INDIVIDUALS:
-        raise ScopeTooLargeError(
-            f"scope admits up to {sum(caps)} individuals; "
-            f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
-        )
-    for c in prep.value_chars:
-        prep.allowed_values(c.source)
-    vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
-    return (
-        InstanceWorld(*rows)
-        for counts in vectors
-        for rows in sorted(set(_worlds_for_counts(prep, dict(zip(prep.bases, counts)))))
-    )
+
+    def __init__(self, prep: _Prep, scope: Scope, key: tuple):
+        model = prep.model
+        _check_model(model)
+        cls = model.classifiers
+        for name, _ in scope.per_classifier:
+            if name not in cls:
+                raise ValueError(f"scope names unknown classifier '{name}'")
+        for q, _ in scope.quality_values:
+            if q not in cls or cls[q].stereotype is not Stereotype.QUALITY:
+                raise ValueError(f"scope values name unknown quality '{q}'")
+        caps = [scope.count_for_base(b) for b in prep.bases]
+        if sum(caps) > MAX_TOTAL_INDIVIDUALS:
+            raise ScopeTooLargeError(
+                f"scope admits up to {sum(caps)} individuals; "
+                f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
+            )
+        self.prep = prep
+        self.key = key
+        self.values = prep.allowed_values(scope)
+        self.caps = scope.per_classifier
+        self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
+        self.next = 0  # index of the first vector not yet in self.worlds
+        self.worlds: list[InstanceWorld] = []
+
+    def __iter__(self) -> Iterator[InstanceWorld]:
+        # walk by index, so interleaved iterations each see every world
+        i = 0
+        while i < len(self.worlds) or self._grow():
+            yield self.worlds[i]
+            i += 1
+
+    def _grow(self) -> bool:
+        """Append the worlds of the next count vector that has any; False once none is left.
+
+        A vector's worlds are appended only once all of them are generated,
+        so an error leaves the stream as it was.
+        """
+        while self.next < len(self.vectors):
+            counts = dict(zip(self.prep.bases, self.vectors[self.next]))
+            keys = sorted(set(_worlds_for_counts(self, counts)))
+            self.worlds += [InstanceWorld(*rows) for rows in keys]
+            self.next += 1
+            if keys:
+                return True
+        return False
 
 
-def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
+def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
     """Yield the canonical key of every world with these per-base counts."""
+    prep = stream.prep
     open_bases = [b for b in prep.open_bases if count_of[b] > 0]
     pure_bases = [b for b in prep.pure_bases if count_of[b] > 0]
 
@@ -517,7 +539,7 @@ def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
         # pure-base individual packs its links and values into one option
         open_links = [_link_choices(prep, possible[ind], targets) for ind, _ in individuals]
         pure_choices = [
-            list(combinations_with_replacement(_pure_options(prep, b, targets), count_of[b]))
+            list(combinations_with_replacement(_pure_options(stream, b, targets), count_of[b]))
             for b in pure_bases
         ]
         for link_combo in product(*open_links):
@@ -539,14 +561,14 @@ def _worlds_for_counts(prep: _Prep, count_of: dict[str, int]):
                         links.extend((r, ind, t) for r, t in opt_links)
                         values.update({(q, ind): v for q, v in opt_values})
 
-                assembled = _assemble(prep, inds, prof, links)
+                assembled = _assemble(stream, inds, prof, links)
                 if assembled is None:
                     continue
                 types, all_links = assembled
                 # pure-base values came with their options; value the open
                 # bases now that their full types are known
                 for open_values in product(*(
-                    _value_options(prep, types[ind]) for ind, _ in individuals
+                    _value_options(stream, types[ind]) for ind, _ in individuals
                 )):
                     value_map = dict(values)
                     for (ind, _), combo in zip(individuals, open_values):
@@ -570,20 +592,21 @@ def _link_choices(prep: _Prep, types, targets: dict[str, tuple]) -> list[tuple]:
     ]
 
 
-def _pure_options(prep: _Prep, base: str, targets: dict[str, tuple]) -> list[tuple]:
+def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list[tuple]:
     """Per-individual (profile, links, values) options for a pure base."""
+    prep = stream.prep
     return [
         (profile, links, values)
         for profile in prep.profiles[base]
         for links in _link_choices(prep, profile, targets)
-        for values in _value_options(prep, profile)
+        for values in _value_options(stream, profile)
     ]
 
 
-def _value_options(prep: _Prep, types: frozenset[str]) -> list[tuple]:
+def _value_options(stream: _Stream, types: frozenset[str]) -> list[tuple]:
     """All value assignments for one bearer with the given types."""
     required: dict[str, bool] = {}
-    for c in prep.value_chars:
+    for c in stream.prep.value_chars:
         if c.target in types:
             needed = c.source_mult is not None and c.source_mult.min >= 1
             required[c.source] = required.get(c.source, False) or needed
@@ -591,14 +614,15 @@ def _value_options(prep: _Prep, types: frozenset[str]) -> list[tuple]:
     return [
         tuple(row for part in combo for row in part)
         for combo in product(*(
-            [((q, v),) for v in prep.allowed_values(q)] + ([] if required[q] else [()])
+            [((q, v),) for v in stream.values[q]] + ([] if required[q] else [()])
             for q in sorted(required)
         ))
     ]
 
 
-def _assemble(prep: _Prep, individuals, profile_of, links):
+def _assemble(stream: _Stream, individuals, profile_of, links):
     """Derive full type sets and material links; None when inconsistent."""
+    prep = stream.prep
     model = prep.model
     types: dict[str, set[str]] = {
         ind: set(profile_of[ind]) for ind, _ in individuals
@@ -658,7 +682,7 @@ def _assemble(prep: _Prep, individuals, profile_of, links):
                     return None
 
     # explicit per-classifier scope caps
-    for name, cap in prep.scope.per_classifier:
+    for name, cap in stream.caps:
         if sum(1 for ind, _ in individuals if name in types[ind]) > cap:
             return None
 
@@ -751,48 +775,34 @@ def _canonicalize(individuals, types, links, values):
         tie = [ind for ind, _ in group]
         linked = any(i in out_links or i in in_links for i in tie)
         ties.append([list(p) for p in permutations(tie)] if linked else [tie])
-    sorted_types = {ind: tuple(sorted(ts)) for ind, ts in types.items()}
-    best = None
+    # tied individuals share base, types and values (their colour), so only
+    # the link rows differ between arrangements
+    best = rename = None
     for arrangement in product(*ties):
         order = (ind for tie in arrangement for ind in tie)
-        rename = {old: new for old, (new, _) in zip(order, fresh)}
-        enc = (
-            tuple(sorted((rename[ind], sorted_types[ind]) for ind, _ in individuals)),
-            tuple(sorted((rel, rename[s], rename[t]) for rel, s, t in links)),
-            tuple(sorted(
-                ((q, rename[b], v) for (q, b), v in values.items()),
-                key=lambda row: (row[0], row[1], repr(row[2])),
-            )),
-        )
-        if best is None or enc < best:
-            best = enc
-    return (tuple(sorted(fresh)), *best)
+        candidate = {old: new for old, (new, _) in zip(order, fresh)}
+        rows = tuple(sorted((rel, candidate[s], candidate[t]) for rel, s, t in links))
+        if best is None or rows < best:
+            best, rename = rows, candidate
+    return (
+        tuple(sorted(fresh)),
+        tuple(sorted((rename[ind], tuple(sorted(types[ind]))) for ind, _ in individuals)),
+        best,
+        tuple(sorted(
+            ((q, rename[b], v) for (q, b), v in values.items()),
+            key=lambda row: (row[0], row[1], repr(row[2])),
+        )),
+    )
 
 
 # --------------------------------------------------------------------------
 # validation (independent re-check of every world invariant)
 # --------------------------------------------------------------------------
 
-_PREP_MEMO = "_validation_prep"
-
-
-def _validation_prep(model: Model, scope: Scope) -> _Prep:
-    """The _Prep validate_world reads, built once per Model instance and scope.
-
-    Kept apart from the world stream's, so validation shares no state with
-    the enumerator it re-checks.
-    """
-    memo = model.__dict__.get(_PREP_MEMO)
-    if memo is None or memo[0] != scope:
-        memo = (scope, _Prep(model, scope))
-        model.__dict__[_PREP_MEMO] = memo
-    return memo[1]
-
-
 def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = None) -> list[str]:
     """All invariant violations in `world`, as human-readable strings."""
     problems: list[str] = []
-    prep = _validation_prep(model, scope or DEFAULT_SCOPE)
+    prep = _prep(model)
     cls = model.classifiers
     ids = set()
     base_of_ind: dict[str, str] = {}
@@ -988,8 +998,7 @@ def find_witness(model: Model, scope: Scope | None, goal: Goal) -> InstanceWorld
     the fewest individuals, the one with the least count vector, then the
     least canonical key. Exhaustive regardless of scope.world_limit, since a
     witness search must not miss worlds the limit would truncate, yet it
-    generates no world past the witness. Searches on one Model instance and
-    scope share one stream of worlds with the other world queries.
+    generates no world past the witness.
     """
     scope = scope or DEFAULT_SCOPE
     for world in _shared_worlds(model, scope):
@@ -1018,15 +1027,7 @@ def eval_comparative(
     space = model.spaces.get(q)
     if space is None or not space.is_ordered:
         raise ValueError(f"quality '{q}' of '{relation}' has no ordered space")
-    cls = model.classifiers
-    direct_chars = [c for c in model.relations.values()
-                    if c.stereotype is RelationStereotype.CHARACTERIZATION and c.source == q]
-    mode_chars = [
-        c for c in model.relations.values()
-        if c.stereotype is RelationStereotype.CHARACTERIZATION
-        and cls.get(c.source) is not None
-        and cls[c.source].stereotype is Stereotype.MODE
-    ]
+    direct_chars, mode_chars = _prep(model).groundings[q]
 
     def grounded_values(ind: str) -> list:
         ts = world.types[ind]
@@ -1042,20 +1043,9 @@ def eval_comparative(
                 else:
                     out.append(v)
                 break
-        for mc in mode_chars:
-            mode = mc.source
-            grounding = [
-                dc for dc in direct_chars
-                if dc.target in model.ancestors_or_self(mode)
-            ]
-            if not grounding:
-                continue
-            required = any(
-                dc.source_mult is not None and dc.source_mult.min >= 1
-                for dc in grounding
-            )
+        for mode_char, required in mode_chars:
             for rel_name, s, t in world.links:
-                if rel_name != mc.name or t != ind:
+                if rel_name != mode_char or t != ind:
                     continue
                 v = world.values.get((q, s))
                 if v is None:
@@ -1149,9 +1139,7 @@ def check_metaproperties(
     property not asked is reported as None and gets no counterexample. Each
     counterexample is the first in enumerate_worlds order, so it has the
     fewest individuals in scope. The search stops once every asked property
-    has one; a property that holds is checked in every world. Checks on one
-    Model instance and scope share one stream of worlds with the other
-    world queries, whatever the relation or strictness.
+    has one; a property that holds is checked in every world.
     """
     scope = scope or DEFAULT_SCOPE
     unknown = sorted(set(properties) - set(_METAPROPERTIES))

@@ -68,6 +68,20 @@ def canonicalizations(monkeypatch) -> list[list]:
     return seen
 
 
+@pytest.fixture
+def preps(monkeypatch) -> list[Model]:
+    """The model of every _Prep the world layer builds during the test."""
+    seen: list[Model] = []
+    real_init = ontounpack.worlds._Prep.__init__
+
+    def counting_init(self, model):
+        seen.append(model)
+        real_init(self, model)
+
+    monkeypatch.setattr(ontounpack.worlds._Prep, "__init__", counting_init)
+    return seen
+
+
 def isomorphic(w1: InstanceWorld, w2: InstanceWorld) -> bool:
     """Brute-force base-preserving relabeling check between two worlds."""
     base1 = dict(w1.individuals)

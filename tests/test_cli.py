@@ -264,6 +264,18 @@ def test_quality_values_of_mixed_types_exit_2(capsys, tmp_path, command):
     assert "scope values of quality 'Mood' mix types" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "lint"])
+@pytest.mark.parametrize("flag, text, message", [
+    ("--scope", "Persn=1", "scope names unknown classifier 'Persn'"),
+    ("--quality-values", "Sevrity={500}", "scope values name unknown quality 'Sevrity'"),
+], ids=["classifier", "quality"])
+def test_unknown_scope_names_exit_2(capsys, command, flag, text, message):
+    code, out, err = run(capsys, command, RELATOR, "--scope-default", "1", flag, text)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_bad_scope_grammar_exits_2(capsys):
     code, out, err = run(capsys, "simulate", RELATOR, "--scope", "Person=two")
     assert code == 2

@@ -364,6 +364,19 @@ def test_scope_refuses_values_of_mixed_types():
     Scope(quality_values={"Mood": ("a", "b"), "Severity": (1, 2)})  # per quality is fine
 
 
+@pytest.mark.parametrize("scope, message", [
+    (Scope(per_classifier={"Persn": 1}), "scope names unknown classifier 'Persn'"),
+    (Scope(quality_values={"Sevrity": (500,)}), "scope values name unknown quality 'Sevrity'"),
+    (Scope(quality_values={"Person": (1,)}), "scope values name unknown quality 'Person'"),
+], ids=["classifier", "quality", "not-a-quality"])
+def test_unknown_scope_names_are_refused(scope, message):
+    m = parse_ok(SEVERITY)
+    with pytest.raises(ValueError, match=message):
+        enumerate_worlds(m, scope)
+    with pytest.raises(ValueError, match=message):
+        find_witness(m, scope, Goal(typings=(("x", "Person"),)))
+
+
 def test_default_quality_values_are_lowest_three():
     m = parse_ok(SEVERITY)
     worlds = enumerate_worlds(m, unlimited(Person=1, PathologicalCondition=1))
@@ -613,18 +626,43 @@ def test_a_metaproperty_check_stops_at_its_last_counterexample(canonicalizations
     assert check_cost == len(canonicalizations) < full_cost
 
 
-def test_validating_many_worlds_builds_one_prep(monkeypatch, relator_model):
-    scope = Scope(default_count=1, world_limit=10**9)
-    worlds = enumerate_worlds(relator_model, scope)
+def test_a_failed_stream_resumes_at_the_vector_that_failed(monkeypatch):
+    model = parse_ok(TOY)
+    scope = unlimited(Person=3)
+    _fail_on_two_individuals(monkeypatch)
+    with pytest.raises(RuntimeError, match="boom"):
+        enumerate_worlds(model, scope)
+    monkeypatch.undo()
+    sizes = []
+    real = ontounpack.worlds._canonicalize
+
+    def recording(individuals, *rest):
+        sizes.append(len(individuals))
+        return real(individuals, *rest)
+
+    monkeypatch.setattr(ontounpack.worlds, "_canonicalize", recording)
+    assert len(enumerate_worlds(model, scope)) == 10
+    assert sizes and min(sizes) == 2  # the worlds of up to one individual are kept
+
+
+# --- one _Prep per model --------------------------------------------------------
+
+
+def test_validating_many_worlds_builds_one_prep(preps, relator_model):
+    # one _Prep serves every scope, and scope=None
+    scopes = [Scope(default_count=1, world_limit=10**9), Scope(default_count=2), None]
+    worlds = enumerate_worlds(relator_model, scopes[0])
     model = load_fixture("healthcare_relator.onto")
-    built = []
-    real = ontounpack.worlds._Prep
+    preps.clear()
+    for scope in scopes:
+        assert all(validate_world(model, w, scope) == [] for w in worlds)
+    assert len(worlds) == 28 and preps == [model]
 
-    class CountingPrep(real):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
 
-    monkeypatch.setattr(ontounpack.worlds, "_Prep", CountingPrep)
-    assert all(validate_world(model, w, scope) == [] for w in worlds)
-    assert len(worlds) == 28 and len(built) == 1
+def test_two_scopes_of_one_model_build_one_prep(preps):
+    model = parse_ok(SEVERITY)
+    for per in ({"Person": 1, "PathologicalCondition": 1}, {"Person": 2}):
+        assert enumerate_worlds(model, unlimited(**per))
+    assert preps == [model]
+    taxonomy = {"_ancestor_map", "_descendant_map"}
+    assert set(model.__dict__) - set(parse_ok(SEVERITY).__dict__) - taxonomy == {"_world_prep"}
