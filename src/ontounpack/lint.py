@@ -22,6 +22,7 @@ from .worlds import (
     DEFAULT_SCOPE,
     Goal,
     Scope,
+    _shared_worlds,
     check_metaproperties,
     find_witness,
 )
@@ -151,13 +152,16 @@ def lint(model: Model, scope: Scope | None = None) -> list[Diagnostic]:
     """All anti-pattern findings, sorted like check output.
 
     Raises IllFormedModelError when the model has rule Errors — witnesses
-    only mean something for a well-formed model.
+    only mean something for a well-formed model. A scope the world finder
+    refuses raises its ValueError or ScopeTooLargeError, even when no
+    pattern matches.
     """
     diagnostics = check(model)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         raise IllFormedModelError(errors)
     scope = scope or DEFAULT_SCOPE
+    _shared_worlds(model, scope)  # opens the stream the queries share, which checks the scope
     found = _ap1(model, scope) + _ap2(model, scope)
     return sorted(found, key=sort_key)
 

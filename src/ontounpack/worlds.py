@@ -18,12 +18,17 @@ while a vector is generated leaves the stream as it was, so the next query
 that reaches that vector raises it again, and once its cause is gone the
 stream resumes at that vector.
 
-Symmetry handling: individuals of one identity base are interchangeable, so
-free type profiles are assigned as sorted multisets, never-targeted bases get
-their whole link/value neighborhood packed into per-individual "options"
-(again multisets), and every assembled world passes through a canonical
-relabeling (color refinement plus permutation minimization within color
-classes) before deduplication.
+Symmetry handling: individuals of one identity base are interchangeable.
+Free type profiles are sorted multisets, and never-targeted ("pure") bases
+pack their links and values into per-individual options, also multisets. A
+candidate, encoded by its open link-choice indices and then per pure base its
+sorted option indices, is skipped before assembly when swapping two adjacent
+open individuals of one base and profile gives a smaller encoding (lex-leader
+pruning; Shlyakhter 2001, Torlak & Jackson, TACAS 2007). Such swaps generate
+each block's symmetric group and commute with assembly and value completion,
+so the least candidate of every orbit survives. Exactness rests on the
+canonical relabeling of every world (color refinement plus permutation
+minimization within color classes) and the key dedupe; the prune cuts work.
 """
 from __future__ import annotations
 
@@ -359,14 +364,19 @@ class _Prep:
             out[b] = sorted(seen, key=lambda s: tuple(sorted(s)))
         return out
 
-    def possible_types(self, base: str, profile: frozenset[str]) -> frozenset[str]:
-        """Profile closure plus every justified sortal the profile can support."""
-        out = set(profile)
-        for j in self.justified_sortals_of.get(base, ()):
-            needed = self.model.ancestors(j) & frozenset(self.free[base])
-            if needed <= profile:
-                out |= self.model.ancestors_or_self(j)
-        return frozenset(out)
+    @cached_property
+    def possible_types(self) -> dict[frozenset[str], frozenset[str]]:
+        """Per profile: its closure plus every justified sortal the profile can support."""
+        out: dict[frozenset[str], frozenset[str]] = {}
+        for base, profiles in self.profiles.items():
+            for profile in profiles:
+                types = set(profile)
+                for j in self.justified_sortals_of[base]:
+                    needed = self.model.ancestors(j) & frozenset(self.free[base])
+                    if needed <= profile:
+                        types |= self.model.ancestors_or_self(j)
+                out[profile] = frozenset(types)
+        return out
 
     def allowed_values(self, scope: Scope) -> dict[str, tuple]:
         """The values each characterized quality takes in `scope`, checked against its space."""
@@ -489,6 +499,7 @@ class _Stream:
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.next = 0  # index of the first vector not yet in self.worlds
         self.worlds: list[InstanceWorld] = []
+        self.value_options: dict[frozenset[str], list[tuple]] = {}
 
     def __iter__(self) -> Iterator[InstanceWorld]:
         # walk by index, so interleaved iterations each see every world
@@ -530,31 +541,47 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                 ind = f"{b}_{i}"
                 individuals.append((ind, b))
                 profile_of[ind] = prof
-        possible = {ind: prep.possible_types(b, profile_of[ind]) for ind, b in individuals}
+        possible = {ind: prep.possible_types[profile_of[ind]] for ind, _ in individuals}
         targets = {
             r.name: tuple(ind for ind, _ in individuals if r.target in possible[ind])
             for r in prep.stored
         }
-        # each open individual holds the links its possible types allow; a
-        # pure-base individual packs its links and values into one option
-        open_links = [_link_choices(prep, possible[ind], targets) for ind, _ in individuals]
+        # each open individual holds the links its possible types allow (one
+        # list per type set); a pure-base individual packs its links and
+        # values into one option; candidates are indices into these lists
+        choices_for = {ts: _link_choices(prep, ts, targets) for ts in set(possible.values())}
+        open_links = [choices_for[possible[ind]] for ind, _ in individuals]
+        pure_options = [_pure_options(stream, b, targets) for b in pure_bases]
         pure_choices = [
-            list(combinations_with_replacement(_pure_options(stream, b, targets), count_of[b]))
-            for b in pure_bases
+            list(combinations_with_replacement(range(len(opts)), count_of[b]))
+            for b, opts in zip(pure_bases, pure_options)
         ]
-        for link_combo in product(*open_links):
+        # adjacent interchangeable open individuals, as (position of a, a, b)
+        pairs = enumerate(zip(individuals, individuals[1:]))
+        swaps = [
+            (at, a, b) for at, ((a, base), (b, other)) in pairs
+            if base == other and profile_of[a] == profile_of[b]
+        ]
+        symmetry = _Symmetry(swaps, open_links, pure_options) if swaps else None
+        for link_combo in product(*map(range, map(len, open_links))):
+            ties = symmetry.open_ties(link_combo) if symmetry else ()
+            if ties is None:
+                continue
             base_links = [
                 (r, ind, t)
-                for (ind, _), choice in zip(individuals, link_combo)
-                for r, t in choice
+                for (ind, _), choices, k in zip(individuals, open_links, link_combo)
+                for r, t in choices[k]
             ]
             for pure_combo in product(*pure_choices):
+                if ties and any(symmetry.shrinks(swap, pure_combo) for swap in ties):
+                    continue
                 inds = list(individuals)
                 links = list(base_links)
                 values: dict[tuple[str, str], object] = {}
                 prof = dict(profile_of)
-                for b, opts in zip(pure_bases, pure_combo):
-                    for i, (profile, opt_links, opt_values) in enumerate(opts):
+                for b, opts, combo in zip(pure_bases, pure_options, pure_combo):
+                    for i, k in enumerate(combo):
+                        profile, opt_links, opt_values = opts[k]
                         ind = f"{b}_{i}"
                         inds.append((ind, b))
                         prof[ind] = profile
@@ -574,6 +601,59 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                     for (ind, _), combo in zip(individuals, open_values):
                         value_map.update({(q, ind): v for q, v in combo})
                     yield _canonicalize(inds, types, all_links, value_map)
+
+
+class _Symmetry:
+    """Swaps of adjacent interchangeable open individuals, acting on candidate encodings.
+
+    Images are found on demand and memoized, as a query that stops early visits few.
+    """
+
+    def __init__(self, swaps: list[tuple[int, str, str]], open_links, pure_options):
+        self.lists = [*open_links, *pure_options]
+        self.opens = len(open_links)
+        self.index: dict[int, dict] = {}  # per list: key -> position
+        # per swap: (position of the first individual, relabelling, memo)
+        self.swaps = [(at, {a: b, b: a}, {}) for at, a, b in swaps]
+
+    def _key(self, n: int, item, relabel: dict[str, str]) -> tuple:
+        profile, links, values = (None, item, None) if n < self.opens else item
+        return profile, frozenset((r, relabel.get(t, t)) for r, t in links), values
+
+    def _image(self, swap, n: int, i: int) -> int:
+        """Position in list n of the image of its item i."""
+        _, relabel, memo = swap
+        j = memo.get((n, i))
+        if j is None:
+            items = self.lists[n]
+            if n not in self.index:
+                self.index[n] = {self._key(n, item, {}): k for k, item in enumerate(items)}
+            j = memo[n, i] = self.index[n][self._key(n, items[i], relabel)]
+        return j
+
+    def open_ties(self, combo: tuple) -> list | None:
+        """None if a swap makes the open part smaller, else the swaps that keep it equal."""
+        ties = []
+        for swap in self.swaps:
+            at = swap[0]
+            for k, i in enumerate(combo):
+                source = combo[at + 1] if k == at else combo[at] if k == at + 1 else i
+                j = self._image(swap, k, source)  # lists at and at + 1 are one list
+                if j != i:
+                    if j < i:
+                        return None
+                    break
+            else:
+                ties.append(swap)
+        return ties
+
+    def shrinks(self, swap, pure_combo: tuple) -> bool:
+        """Whether a swap that keeps the open part equal makes the pure part smaller."""
+        image = tuple(
+            tuple(sorted(self._image(swap, n, i) for i in combo))
+            for n, combo in enumerate(pure_combo, self.opens)
+        )
+        return image < pure_combo
 
 
 def _link_choices(prep: _Prep, types, targets: dict[str, tuple]) -> list[tuple]:
@@ -604,20 +684,23 @@ def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list
 
 
 def _value_options(stream: _Stream, types: frozenset[str]) -> list[tuple]:
-    """All value assignments for one bearer with the given types."""
-    required: dict[str, bool] = {}
-    for c in stream.prep.value_chars:
-        if c.target in types:
-            needed = c.source_mult is not None and c.source_mult.min >= 1
-            required[c.source] = required.get(c.source, False) or needed
-    # a quality contributes one (quality, value) row, or none when optional
-    return [
-        tuple(row for part in combo for row in part)
-        for combo in product(*(
-            [((q, v),) for v in stream.values[q]] + ([] if required[q] else [()])
-            for q in sorted(required)
-        ))
-    ]
+    """All value assignments for one bearer with the given types, memoized per stream."""
+    options = stream.value_options.get(types)
+    if options is None:
+        required: dict[str, bool] = {}
+        for c in stream.prep.value_chars:
+            if c.target in types:
+                needed = c.source_mult is not None and c.source_mult.min >= 1
+                required[c.source] = required.get(c.source, False) or needed
+        # a quality contributes one (quality, value) row, or none when optional
+        options = stream.value_options[types] = [
+            tuple(row for part in combo for row in part)
+            for combo in product(*(
+                [((q, v),) for v in stream.values[q]] + ([] if required[q] else [()])
+                for q in sorted(required)
+            ))
+        ]
+    return options
 
 
 def _assemble(stream: _Stream, individuals, profile_of, links):

@@ -69,6 +69,20 @@ def canonicalizations(monkeypatch) -> list[list]:
 
 
 @pytest.fixture
+def assemblies(monkeypatch) -> list[list]:
+    """The individuals of every candidate world the world finder assembles during the test."""
+    seen: list[list] = []
+    real_assemble = ontounpack.worlds._assemble
+
+    def counting_assemble(stream, individuals, *rest):
+        seen.append(individuals)
+        return real_assemble(stream, individuals, *rest)
+
+    monkeypatch.setattr(ontounpack.worlds, "_assemble", counting_assemble)
+    return seen
+
+
+@pytest.fixture
 def preps(monkeypatch) -> list[Model]:
     """The model of every _Prep the world layer builds during the test."""
     seen: list[Model] = []

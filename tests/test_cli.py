@@ -14,6 +14,7 @@ from ontounpack import Model, parse_text
 from ontounpack.cli import main
 
 from conftest import FIXTURES
+from test_worlds import TOY
 
 PLAIN = str(FIXTURES / "healthcare_plain.onto")
 RELATOR = str(FIXTURES / "healthcare_relator.onto")
@@ -274,6 +275,21 @@ def test_unknown_scope_names_exit_2(capsys, command, flag, text, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--scope", "Persn=1", "scope names unknown classifier 'Persn'"),
+    ("--quality-values", "Sev={1}", "scope values name unknown quality 'Sev'"),
+    ("--scope-default", "99", "scope admits up to 99 individuals; the hard cap is 14"),
+], ids=["classifier", "quality", "hard-cap"])
+def test_lint_without_queries_refuses_a_bad_scope_like_simulate(capsys, tmp_path, flag, text,
+                                                                 message):
+    # the model has no relator and no comparative, so lint asks no query
+    src = tmp_path / "toy.onto"
+    src.write_text(TOY)
+    for command in ("simulate", "lint"):
+        code, out, err = run(capsys, command, str(src), flag, text, "--format", "json")
+        assert (code, out, err.strip()) == (2, "", message)
 
 
 def test_bad_scope_grammar_exits_2(capsys):

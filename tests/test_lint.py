@@ -6,6 +6,7 @@ from ontounpack import (
     Goal,
     IllFormedModelError,
     Scope,
+    ScopeTooLargeError,
     Severity,
     check_metaproperties,
     find_witness,
@@ -16,6 +17,7 @@ from ontounpack import (
 from ontounpack.rules import sort_key
 
 from conftest import FIXTURES, parse_ok
+from test_worlds import TOY
 
 PAIR_SCOPE = Scope(per_classifier={"Person": 2, "Treatment": 2})
 
@@ -172,3 +174,18 @@ def test_lint_findings_match_queries_on_fresh_models():
     report = check_metaproperties(parse_ok(CLINIC), "moreSevereThan", CLINIC_SCOPE,
                                   strict=False)
     assert (tie.witness, tie.related) == report.counterexample("asymmetric")
+
+
+@pytest.mark.parametrize("scope, error, message", [
+    (Scope(per_classifier={"Persn": 1}), ValueError, "scope names unknown classifier 'Persn'"),
+    (Scope(quality_values={"Sev": (1,)}), ValueError, "scope values name unknown quality 'Sev'"),
+    (Scope(default_count=99), ScopeTooLargeError, "the hard cap is 14"),
+], ids=["classifier", "quality", "hard-cap"])
+def test_lint_refuses_a_bad_scope_even_without_queries(scope, error, message):
+    # no relator or comparative, so no pattern asks the world finder anything
+    with pytest.raises(error, match=message):
+        lint(parse_ok(TOY), scope)
+
+
+def test_lint_without_queries_accepts_a_good_scope():
+    assert lint(parse_ok(TOY), Scope(per_classifier={"Person": 2})) == []

@@ -123,6 +123,9 @@ CASES = {
     "toy": (TOY, {"Person": 3}, {}),
     "severity": (SEVERITY, {"Person": 1, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
     "severity_pair": (SEVERITY, {"Person": 2, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
+    # three interchangeable open Persons under a multiset of two conditions:
+    # the swaps that skip symmetric candidates act on the conditions' options
+    "severity_trio": (SEVERITY, {"Person": 3, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
     "relator": ("healthcare_relator.onto",
                 {"Person": 1, "Organization": 1, "Treatment": 1, "PathologicalCondition": 0}, {}),
     "relator_pair": ("healthcare_relator.onto",

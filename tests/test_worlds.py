@@ -479,11 +479,31 @@ RELATOR_P3O3T3PC1 = {"Person": 3, "Organization": 3, "Treatment": 3, "Pathologic
 
 
 def test_the_first_world_costs_at_most_one_canonicalization(canonicalizations):
-    # the full list takes 13,712 canonicalizations
+    # the full list takes 2,468 canonicalizations
     model = load_fixture("healthcare_relator.onto")
     scope = Scope(per_classifier=RELATOR_P3O3T3PC1, world_limit=1)
     assert enumerate_worlds(model, scope) == [EMPTY_WORLD]
     assert len(canonicalizations) <= 1
+
+
+# --- symmetric candidates are skipped before assembly ---------------------------
+
+def test_relator_worlds_cost_about_one_canonicalization_each(canonicalizations, assemblies):
+    # generating every labelled candidate took 13,712 canonicalizations and
+    # 19,440 assemblies for these 2,320 worlds
+    model = load_fixture("healthcare_relator.onto")
+    worlds = enumerate_worlds(model, unlimited(**RELATOR_P3O3T3PC1))
+    assert len(worlds) == 2320
+    assert len(canonicalizations) <= 1.1 * len(worlds)
+    assert len(assemblies) < 19440 / 4
+
+
+def test_severity_worlds_cost_one_canonicalization_each(canonicalizations):
+    # four open Persons and a multiset of five conditions: every swap of two
+    # adjacent Persons is tried on the conditions' options
+    worlds = enumerate_worlds(parse_ok(SEVERITY), unlimited(Person=4, PathologicalCondition=5))
+    assert len(worlds) == 469
+    assert len(canonicalizations) == len(worlds)
 
 
 @pytest.mark.parametrize("text, per", [
