@@ -27,8 +27,13 @@ open individuals of one base and profile gives a smaller encoding (lex-leader
 pruning; Shlyakhter 2001, Torlak & Jackson, TACAS 2007). Such swaps generate
 each block's symmetric group and commute with assembly and value completion,
 so the least candidate of every orbit survives. Exactness rests on the
-canonical relabeling of every world (color refinement plus permutation
-minimization within color classes) and the key dedupe; the prune cuts work.
+canonical relabeling of every world and the key dedupe; the prune cuts work.
+The relabeling is color refinement plus minimization over the orders of twin
+classes within color classes: twins are tied individuals with the same
+outgoing and incoming (relation, neighbour) pairs, so swapping two maps the
+links onto themselves and only the sequence of their classes can change the
+rows (twin collapse; McKay & Piperno, "Practical graph isomorphism II",
+2014).
 """
 from __future__ import annotations
 
@@ -40,7 +45,6 @@ from itertools import (
     combinations_with_replacement,
     groupby,
     islice,
-    permutations,
     product,
 )
 from operator import itemgetter
@@ -845,19 +849,27 @@ def _canonicalize(individuals, types, links, values):
         color = new_color
 
     # sort per base by final color and give fresh ids in that order: only
-    # orders within a tie (same base and color) remain, and those matter
-    # only when the tied individuals occur in links
+    # orders within a tie (same base and color) remain
     ranked = sorted(individuals, key=lambda ib: (ib[1], repr(color[ib[0]]), ib[0]))
     fresh = [
         (f"{base}_{i}", base)
         for base, members in groupby(ranked, key=itemgetter(1))
         for i, _ in enumerate(members)
     ]
-    ties: list[list[list[str]]] = []   # per tie: the orders worth trying
+    ties: list[list] = []   # per tie: the orders worth trying
     for _, group in groupby(ranked, key=lambda ib: (ib[1], color[ib[0]])):
         tie = [ind for ind, _ in group]
-        linked = any(i in out_links or i in in_links for i in tie)
-        ties.append([list(p) for p in permutations(tie)] if linked else [tie])
+        if len(tie) == 1:   # most ties: nothing to order
+            ties.append([tie])
+            continue
+        # twins (same outgoing and incoming (relation, neighbour) pairs) give
+        # the same rows in either order: one order per sequence of classes
+        twin = [
+            (tuple(sorted((rel, t) for rel, _, t in out_links.get(ind, ()))),
+             tuple(sorted((rel, s) for rel, s, _ in in_links.get(ind, ()))))
+            for ind in tie
+        ]
+        ties.append(list(_twin_orders(tie, twin)))
     # tied individuals share base, types and values (their colour), so only
     # the link rows differ between arrangements
     best = rename = None
@@ -876,6 +888,23 @@ def _canonicalize(individuals, types, links, values):
             key=lambda row: (row[0], row[1], repr(row[2])),
         )),
     )
+
+
+def _twin_orders(tie: list, twin: list) -> Iterator[list]:
+    """The orders of `tie` that keep each twin class (equal `twin` entries) in tie order.
+
+    They come in the order permutations(tie) yields them, one per sequence
+    of classes (the first permutation that spells it), so the search meets
+    the least rows at the arrangement the full product would.
+    """
+    if not tie:
+        yield []
+    seen = set()
+    for i, cls in enumerate(twin):
+        if cls not in seen:
+            seen.add(cls)
+            for rest in _twin_orders(tie[:i] + tie[i + 1:], twin[:i] + twin[i + 1:]):
+                yield [tie[i], *rest]
 
 
 # --------------------------------------------------------------------------

@@ -55,14 +55,15 @@ def enumerations(monkeypatch) -> list[Model]:
 
 
 @pytest.fixture
-def canonicalizations(monkeypatch) -> list[list]:
-    """The individuals of every candidate world the world finder canonicalizes during the test."""
-    seen: list[list] = []
+def canonicalizations(monkeypatch) -> list[tuple[tuple, tuple]]:
+    """Every _canonicalize call the world finder makes during the test, as (arguments, key)."""
+    seen: list[tuple[tuple, tuple]] = []
     real_canonicalize = ontounpack.worlds._canonicalize
 
-    def counting_canonicalize(individuals, *rest):
-        seen.append(individuals)
-        return real_canonicalize(individuals, *rest)
+    def counting_canonicalize(*args):
+        key = real_canonicalize(*args)
+        seen.append((args, key))
+        return key
 
     monkeypatch.setattr(ontounpack.worlds, "_canonicalize", counting_canonicalize)
     return seen

@@ -1,0 +1,184 @@
+"""`_canonicalize` against the plain search it replaced.
+
+The reference below tries every permutation of every linked colour tie. The
+world finder tries one order per sequence of twin classes (individuals of
+one tie that link alike), and must return the reference's key, value types
+included, for every candidate it canonicalizes.
+"""
+from __future__ import annotations
+
+from itertools import groupby, permutations, product
+from operator import itemgetter
+
+import pytest
+
+import ontounpack.worlds
+from ontounpack import Scope, enumerate_worlds
+from ontounpack.worlds import _twin_orders
+
+from conftest import load_fixture, parse_ok
+from test_oracle import SUCCESSOR
+from test_worlds import MARRIAGE, SEVERITY
+
+
+def reference_canonicalize(individuals, types, links, values):
+    """Rows of the world, relabelled per base to the least encoding: its canonical key."""
+    out_links: dict[str, list[tuple[str, str, str]]] = {}
+    in_links: dict[str, list[tuple[str, str, str]]] = {}
+    for rel, s, t in links:
+        out_links.setdefault(s, []).append((rel, s, t))
+        in_links.setdefault(t, []).append((rel, s, t))
+    value_of: dict[str, list[tuple[str, object]]] = {}
+    for (q, b), v in values.items():
+        value_of.setdefault(b, []).append((q, v))
+
+    color: dict[str, tuple] = {}
+    for ind, base in individuals:
+        color[ind] = (
+            base,
+            tuple(sorted(types[ind])),
+            tuple(sorted(value_of.get(ind, ()), key=repr)),
+        )
+    for _ in range(2):
+        ranks = {c: i for i, c in enumerate(sorted(set(color.values()), key=repr))}
+        new_color = {}
+        for ind, _base in individuals:
+            new_color[ind] = (
+                ranks[color[ind]],
+                tuple(sorted((rel, ranks[color[t]]) for rel, _, t in out_links.get(ind, ()))),
+                tuple(sorted((rel, ranks[color[s]]) for rel, s, _ in in_links.get(ind, ()))),
+            )
+        color = new_color
+
+    # sort per base by final color and give fresh ids in that order: only
+    # orders within a tie (same base and color) remain, and those matter
+    # only when the tied individuals occur in links
+    ranked = sorted(individuals, key=lambda ib: (ib[1], repr(color[ib[0]]), ib[0]))
+    fresh = [
+        (f"{base}_{i}", base)
+        for base, members in groupby(ranked, key=itemgetter(1))
+        for i, _ in enumerate(members)
+    ]
+    ties: list[list[list[str]]] = []   # per tie: the orders worth trying
+    for _, group in groupby(ranked, key=lambda ib: (ib[1], color[ib[0]])):
+        tie = [ind for ind, _ in group]
+        linked = any(i in out_links or i in in_links for i in tie)
+        ties.append([list(p) for p in permutations(tie)] if linked else [tie])
+    # tied individuals share base, types and values (their colour), so only
+    # the link rows differ between arrangements
+    best = rename = None
+    for arrangement in product(*ties):
+        order = (ind for tie in arrangement for ind in tie)
+        candidate = {old: new for old, (new, _) in zip(order, fresh)}
+        rows = tuple(sorted((rel, candidate[s], candidate[t]) for rel, s, t in links))
+        if best is None or rows < best:
+            best, rename = rows, candidate
+    return (
+        tuple(sorted(fresh)),
+        tuple(sorted((rename[ind], tuple(sorted(types[ind]))) for ind, _ in individuals)),
+        best,
+        tuple(sorted(
+            ((q, rename[b], v) for (q, b), v in values.items()),
+            key=lambda row: (row[0], row[1], repr(row[2])),
+        )),
+    )
+
+
+def assert_keys_are_the_references(calls) -> None:
+    assert calls
+    for args, key in calls:
+        # repr, not ==: a key must keep its values' types (1 == True == 1.0)
+        assert repr(key) == repr(reference_canonicalize(*args)), args
+
+
+LIKES = "model Likes\n\nkind Person\ninternal likes : Person [0..*] -- [0..*] Person\n"
+
+# a quality with no declared space takes whatever values a scope lists
+FLAGS = (
+    "model Flags\n\n"
+    "kind Person\n"
+    "quality Flag\n"
+    "characterization hasFlag : Flag [0..1] -- [1..1] Person\n"
+    "internal next : Person [0..1] -- [0..1] Person\n"
+)
+
+# name -> (model, per-classifier counts, scope values, candidates canonicalized)
+CASES = {
+    "relator": ("healthcare_relator.onto",
+                {"Person": 3, "Organization": 3, "Treatment": 3, "PathologicalCondition": 0},
+                {}, 617),
+    "severity": (SEVERITY, {"Person": 3, "PathologicalCondition": 4}, {"Severity": (0, 1)}, None),
+    "marriage": (MARRIAGE, {"Person": 5, "Marriage": 2}, {}, 1027),
+    # a digraph of one colour: ties hold individuals that link to each other
+    "likes": (LIKES, {"Person": 4}, {}, 5866),
+    "successor": (SUCCESSOR, {"Person": 6}, {}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_candidate_gets_the_references_key(canonicalizations, case):
+    text, per, values, calls = CASES[case]
+    model = load_fixture(text) if text.endswith(".onto") else parse_ok(text)
+    enumerate_worlds(model, Scope(per_classifier=per, quality_values=values, world_limit=10**9))
+    assert calls is None or len(canonicalizations) == calls
+    assert_keys_are_the_references(canonicalizations)
+
+
+def test_two_scopes_of_one_model_keep_their_value_types(canonicalizations):
+    # False == 0 and True == 1, so anything kept across the two scopes would
+    # hand the second one keys of the first
+    model = parse_ok(FLAGS)
+    for values in ((False, True), (0, 1)):
+        canonicalizations.clear()
+        scope = Scope(per_classifier={"Person": 3}, quality_values={"Flag": values},
+                      world_limit=10**9)
+        worlds = enumerate_worlds(model, scope)
+        assert {type(v) for w in worlds for _, _, v in w.value_rows} == {type(values[0])}
+        assert_keys_are_the_references(canonicalizations)
+
+
+@pytest.mark.parametrize("twin", ["a", "aaa", "abc", "aab", "aba", "abab", "abcab"])
+def test_twin_orders_are_the_first_permutation_of_each_class_sequence(twin):
+    tie = list(range(len(twin)))
+    first: dict[tuple, list[int]] = {}
+    for p in permutations(tie):
+        first.setdefault(tuple(twin[i] for i in p), list(p))
+    assert list(_twin_orders(tie, list(twin))) == list(first.values())
+
+
+TWIN_CONDITIONS = (
+    "model TwinConditions\n\n"
+    "kind Person\n"
+    "mode PathologicalCondition\n"
+    "quality Severity\n"
+    "space Severity ordered 0..100\n"
+    "characterization hasCondition : PathologicalCondition [0..*] -- [1..1] Person\n"
+    "characterization hasSeverity : Severity [1..1] -- [1..1] PathologicalCondition\n"
+)
+
+
+def test_twin_conditions_cost_one_order_per_canonicalization(canonicalizations, monkeypatch):
+    # each world is a Person with k conditions of one value, all twins; every
+    # permutation of them made 5,915 orders (the sum of k! for k <= 7, plus
+    # the empty world) for 9 canonicalizations
+    worlds = ontounpack.worlds
+    counted_canonicalize, real_product = worlds._canonicalize, worlds.product
+    orders = []
+
+    def counting_product(*ties):
+        for arrangement in real_product(*ties):
+            orders.append(arrangement)
+            yield arrangement
+
+    def canonicalize(*args):
+        worlds.product = counting_product
+        try:
+            return counted_canonicalize(*args)
+        finally:
+            worlds.product = real_product
+
+    monkeypatch.setattr(worlds, "_canonicalize", canonicalize)
+    scope = Scope(per_classifier={"Person": 1, "PathologicalCondition": 7},
+                  quality_values={"Severity": (5,)}, world_limit=10**9)
+    assert len(enumerate_worlds(parse_ok(TWIN_CONDITIONS), scope)) == 9
+    assert len(canonicalizations) == len(orders) == 9

@@ -128,6 +128,13 @@ CASES = {
     "severity_trio": (SEVERITY, {"Person": 3, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
     "relator": ("healthcare_relator.onto",
                 {"Person": 1, "Organization": 1, "Treatment": 1, "PathologicalCondition": 0}, {}),
+    # twins (tied individuals that link alike), whose orders _canonicalize
+    # tries once per twin class: two treatments of one patient and provider,
+    # and conditions that take the one value in scope
+    "relator_twins": ("healthcare_relator.onto",
+                      {"Person": 1, "Organization": 1, "Treatment": 2, "PathologicalCondition": 0},
+                      {}),
+    "severity_twins": (SEVERITY, {"Person": 2, "PathologicalCondition": 3}, {"Severity": (0,)}),
     "relator_pair": ("healthcare_relator.onto",
                      {"Person": 2, "Organization": 1, "Treatment": 1, "PathologicalCondition": 0},
                      {}),
