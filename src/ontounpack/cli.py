@@ -42,7 +42,7 @@ class _Failure(Exception):
 
 
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return jsonio.dumps_indented(data) + "\n"
 
 
 def _load_model(path: str) -> Model:

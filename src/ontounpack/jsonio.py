@@ -2,11 +2,13 @@
 
 emit_json is byte-stable: keys sorted, declarations sorted by name, no
 volatile data. Source spans are deliberately not serialized; they locate
-declarations in DSL text and are not part of model structure.
+declarations in DSL text and are not part of model structure. All JSON
+output, models and the CLI's documents alike, is written by dumps_indented.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     DEFAULT_SPAN,
@@ -54,6 +56,59 @@ def space_dict(s: QualitySpace) -> dict:
     return {"owner": s.owner, "kind": "nominal", "labels": list(s.labels or ())}
 
 
+def _float_text(value: float) -> str:
+    """A float as json.dumps spells it, NaN and infinities included."""
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def dumps_indented(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), without its encoder.
+
+    With an indent, json.dumps always takes the pure-Python encoder; this
+    writer gives the same bytes faster. Strings go through the C string
+    encoder, ints, floats, bools and None are spelt as json.dumps spells
+    them, tuples are written as lists and dict keys must be strings. Each
+    container is joined as soon as it is written, so no list of small pieces
+    as long as the whole text is ever held.
+    """
+    def text(value, newline: str) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _float_text(value)
+        inner = newline + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            items = [text(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [
+                encode_basestring_ascii(key) + ": " + text(item, inner)
+                for key, item in sorted(value.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return text(value, "\n")
+
+
 def emit_json(model: Model) -> bytes:
     doc = {
         "name": model.name,
@@ -80,7 +135,7 @@ def emit_json(model: Model) -> bytes:
             for s in sorted(model.spaces.values(), key=lambda s: s.owner)
         ],
     }
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (dumps_indented(doc) + "\n").encode("utf-8")
 
 
 class _Bad(Exception):
@@ -234,4 +289,4 @@ def load_json(data: bytes) -> Model | ParseError:
     return result[0] if isinstance(result, list) else result
 
 
-__all__ = ["emit_json", "load_json", "classifier_dict", "relation_dict", "space_dict"]
+__all__ = ["dumps_indented", "emit_json", "load_json", "classifier_dict", "relation_dict", "space_dict"]

@@ -18,6 +18,18 @@ while a vector is generated leaves the stream as it was, so the next query
 that reaches that vector raises it again, and once its cause is gone the
 stream resumes at that vector.
 
+Bounds before the symmetry test: each stored relation's source-side
+multiplicity bounds the links into every target. While candidates are drawn,
+a link choice of the open individuals, or a pure multiset, that puts more
+links into an open target than the max is dropped (links only add to a
+count), and a whole candidate is dropped before the symmetry test when it
+puts fewer than the min into a target whose free profile already holds the
+relation's target type (assembly only adds types to a profile). Both are
+refusals _assemble would make; they are invariant under the swaps below, so
+an orbit is refused whole and the least candidate of every other orbit is
+kept. _assemble still checks every bound, since memberships derived from
+links (justified roles) decide the rest.
+
 Symmetry handling: individuals of one identity base are interchangeable.
 Free type profiles are sorted multisets, and never-targeted ("pure") bases
 pack their links and values into per-individual options, also multisets. A
@@ -43,9 +55,11 @@ from functools import cached_property
 from itertools import (
     combinations,
     combinations_with_replacement,
+    compress,
     groupby,
     islice,
     product,
+    repeat,
 )
 from operator import itemgetter
 
@@ -504,6 +518,7 @@ class _Stream:
         self.next = 0  # index of the first vector not yet in self.worlds
         self.worlds: list[InstanceWorld] = []
         self.value_options: dict[frozenset[str], list[tuple]] = {}
+        self.link_choices: dict[tuple, list[tuple]] = {}
 
     def __iter__(self) -> Iterator[InstanceWorld]:
         # walk by index, so interleaved iterations each see every world
@@ -553,13 +568,22 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
         # each open individual holds the links its possible types allow (one
         # list per type set); a pure-base individual packs its links and
         # values into one option; candidates are indices into these lists
-        choices_for = {ts: _link_choices(prep, ts, targets) for ts in set(possible.values())}
+        choices_for = {ts: _link_choices(stream, ts, targets) for ts in set(possible.values())}
         open_links = [choices_for[possible[ind]] for ind, _ in individuals]
         pure_options = [_pure_options(stream, b, targets) for b in pure_bases]
-        pure_choices = [
-            list(combinations_with_replacement(range(len(opts)), count_of[b]))
+        # the load each link choice and each pure multiset puts on the bounded
+        # targets (a multiset's loads come in the order of its index tuples),
+        # and per open load the multisets that leave room for it
+        bounds = _Bounds(prep, targets, profile_of, sum(count_of.values()))
+        loads_for = {ts: list(map(bounds.load, choices)) for ts, choices in choices_for.items()}
+        open_loads = [loads_for[possible[ind]] for ind, _ in individuals]
+        pure_multisets = [
+            (list(combinations_with_replacement(range(len(opts)), count_of[b])),
+             list(map(sum, combinations_with_replacement(
+                 [bounds.load(links) for _, links, _ in opts], count_of[b]))))
             for b, opts in zip(pure_bases, pure_options)
         ]
+        room: dict[int, tuple[list, list]] = {}
         # adjacent interchangeable open individuals, as (position of a, a, b)
         pairs = enumerate(zip(individuals, individuals[1:]))
         swaps = [
@@ -568,6 +592,9 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
         ]
         symmetry = _Symmetry(swaps, open_links, pure_options) if swaps else None
         for link_combo in product(*map(range, map(len, open_links))):
+            load = sum(map(list.__getitem__, open_loads, link_combo))
+            if not bounds.fits(load):
+                continue
             ties = symmetry.open_ties(link_combo) if symmetry else ()
             if ties is None:
                 continue
@@ -576,7 +603,12 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                 for (ind, _), choices, k in zip(individuals, open_links, link_combo)
                 for r, t in choices[k]
             ]
-            for pure_combo in product(*pure_choices):
+            if load not in room:
+                room[load] = bounds.within(load, pure_multisets)
+            pure_choices, pure_loads = room[load]
+            for pure_combo, pure_load in zip(product(*pure_choices), product(*pure_loads)):
+                if not bounds.admits(load + sum(pure_load)):
+                    continue
                 if ties and any(symmetry.shrinks(swap, pure_combo) for swap in ties):
                     continue
                 inds = list(individuals)
@@ -660,20 +692,84 @@ class _Symmetry:
         return image < pure_combo
 
 
-def _link_choices(prep: _Prep, types, targets: dict[str, tuple]) -> list[tuple]:
+class _Bounds:
+    """Source-side bounds of the stored relations on open targets, checked on packed loads.
+
+    A load counts the links into every bounded (relation, target) key, one
+    bit field per key. A field is wide enough for the count vector's
+    individual count plus a guard bit, since one source links a key at most
+    once, so loads add as plain integers without carrying between fields.
+    Adding an offset sets a field's guard bit exactly when its count is over
+    the max (`fits`), or at least the min (`admits`). A key has a max when the
+    relation's source-side max is below the individual count, and a min when
+    that min is positive and the target's free profile holds the relation's
+    target type: assembly only adds types to the profile, so the target is
+    bound to be an instance.
+    """
+
+    def __init__(self, prep: _Prep, targets: dict[str, tuple], profile_of, total: int):
+        width = total.bit_length() + 1
+        guard = 1 << (width - 1)  # above any count
+        self.unit: dict[tuple[str, str], int] = {}
+        self.over = self.over_mask = self.under = self.under_mask = 0
+        for r in prep.stored:
+            mult = r.source_mult
+            if mult is None:
+                continue
+            for t in targets[r.name]:
+                # no count passes `total`; a min past it refuses every load all the same
+                hi = mult.max if mult.max is not None and mult.max < total else None
+                lo = min(mult.min, total + 1) if r.target in profile_of[t] else 0
+                if hi is None and not lo:
+                    continue
+                shift = width * len(self.unit)
+                self.unit[r.name, t] = 1 << shift
+                if hi is not None:
+                    self.over += (guard - 1 - hi) << shift
+                    self.over_mask |= guard << shift
+                if lo:
+                    self.under += (guard - lo) << shift
+                    self.under_mask |= guard << shift
+
+    def load(self, links) -> int:
+        """The load of (relation, target) links."""
+        return sum(map(self.unit.get, links, repeat(0)))
+
+    def fits(self, load: int) -> bool:
+        """No key over its max; more links only add to a load, so a misfit stays one."""
+        return not (load + self.over) & self.over_mask
+
+    def admits(self, load: int) -> bool:
+        """Every key within its bounds: the load of a whole candidate."""
+        return self.fits(load) and (load + self.under) & self.under_mask == self.under_mask
+
+    def within(self, load: int, multisets: list[tuple[list, list]]) -> tuple[list, list]:
+        """Per pure base, the multisets and their loads that fit beside `load`."""
+        kept = [[self.fits(load + l) for l in loads] for _, loads in multisets]
+        return (
+            [list(compress(m, k)) for (m, _), k in zip(multisets, kept)],
+            [list(compress(l, k)) for (_, l), k in zip(multisets, kept)],
+        )
+
+
+def _link_choices(stream: _Stream, types, targets: dict[str, tuple]) -> list[tuple]:
     """Every tuple of (relation, target) links one source with `types` can hold.
 
     The product, over the stored relations whose source is in `types`, of the
-    target sets that relation's target-side bound admits.
+    target sets that relation's target-side bound admits; memoized per stream.
     """
-    return [
-        tuple(link for group in combo for link in group)
-        for combo in product(*(
-            [tuple((r.name, t) for t in chosen)
-             for chosen in _target_subsets(targets[r.name], r.target_mult)]
-            for r in prep.stored if r.source in types
-        ))
-    ]
+    key = (types, *targets.values())
+    choices = stream.link_choices.get(key)
+    if choices is None:
+        choices = stream.link_choices[key] = [
+            tuple(link for group in combo for link in group)
+            for combo in product(*(
+                [tuple((r.name, t) for t in chosen)
+                 for chosen in _target_subsets(targets[r.name], r.target_mult)]
+                for r in stream.prep.stored if r.source in types
+            ))
+        ]
+    return choices
 
 
 def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list[tuple]:
@@ -682,7 +778,7 @@ def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list
     return [
         (profile, links, values)
         for profile in prep.profiles[base]
-        for links in _link_choices(prep, profile, targets)
+        for links in _link_choices(stream, profile, targets)
         for values in _value_options(stream, profile)
     ]
 

@@ -70,14 +70,15 @@ def canonicalizations(monkeypatch) -> list[tuple[tuple, tuple]]:
 
 
 @pytest.fixture
-def assemblies(monkeypatch) -> list[list]:
-    """The individuals of every candidate world the world finder assembles during the test."""
-    seen: list[list] = []
+def assemblies(monkeypatch) -> list[tuple[list, bool]]:
+    """Every candidate world the world finder assembles during the test, as (individuals, accepted)."""
+    seen: list[tuple[list, bool]] = []
     real_assemble = ontounpack.worlds._assemble
 
     def counting_assemble(stream, individuals, *rest):
-        seen.append(individuals)
-        return real_assemble(stream, individuals, *rest)
+        assembled = real_assemble(stream, individuals, *rest)
+        seen.append((individuals, assembled is not None))
+        return assembled
 
     monkeypatch.setattr(ontounpack.worlds, "_assemble", counting_assemble)
     return seen

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ontounpack
-from ontounpack import Model, parse_text
+from ontounpack import Model, Scope, enumerate_worlds, parse_text
 from ontounpack.cli import main
 
 from conftest import FIXTURES
@@ -452,3 +452,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("fixture", [PLAIN, RELATOR, EVENT])
+def test_parse_json_is_json_dumps_sorted_and_indented(capsys, fixture):
+    code, out, _ = run(capsys, "parse", fixture)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# the plain fixture has no worlds: its material relation has no relator (R6)
+@pytest.mark.parametrize("fixture", [RELATOR, EVENT])
+def test_simulate_json_is_json_dumps_sorted_and_indented(capsys, fixture):
+    code, out, _ = run(capsys, "simulate", fixture, "--scope-default", "1", "--limit", "40")
+    assert code == 0
+    model = parse_text(Path(fixture).read_text())
+    worlds = enumerate_worlds(model, Scope(default_count=1, world_limit=40))
+    assert len(worlds) > 1
+    assert out == json.dumps([w.to_dict() for w in worlds], sort_keys=True, indent=2) + "\n"

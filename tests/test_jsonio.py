@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontounpack import Model, ParseError, emit_json, load_json, parse_text
+from ontounpack.jsonio import dumps_indented
 
 from conftest import load_fixture, parse_ok
 
@@ -351,3 +352,27 @@ def test_load_json_is_total_on_mutated_fixtures(data):
                 node[key] = data.draw(st.sampled_from(FIXTURE_STRINGS) | JSON_VALUES)
             break
     assert_model_or_error(json.dumps(document).encode())
+
+
+# --- dumps_indented is json.dumps(..., sort_keys=True, indent=2) -----------------
+
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text(max_size=8) | st.sampled_from(["é", "\n\"\\", "\x00\x1f", "\ud800", "🩺"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WRITER_VALUES)
+def test_dumps_indented_is_json_dumps_sorted_and_indented(value):
+    assert dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_indented_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        dumps_indented([{"a": {1}}])

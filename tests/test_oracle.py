@@ -135,6 +135,14 @@ CASES = {
                       {"Person": 1, "Organization": 1, "Treatment": 2, "PathologicalCondition": 0},
                       {}),
     "severity_twins": (SEVERITY, {"Person": 2, "PathologicalCondition": 3}, {"Severity": (0,)}),
+    # the source-side bounds the world finder checks while drawing candidates:
+    # three conditions on one Person pass hasCondition's [0..2] max, and a
+    # HealthcareProvider needs a treatment (involvesProvider's [1..*] min)
+    "severity_crowded": (SEVERITY, {"Person": 1, "PathologicalCondition": 3},
+                         {"Severity": (0, 1)}),
+    "relator_idle_provider": ("healthcare_relator.onto",
+                              {"Person": 1, "Organization": 2, "Treatment": 1,
+                               "PathologicalCondition": 0}, {}),
     "relator_pair": ("healthcare_relator.onto",
                      {"Person": 2, "Organization": 1, "Treatment": 1, "PathologicalCondition": 0},
                      {}),

@@ -498,6 +498,52 @@ def test_relator_worlds_cost_about_one_canonicalization_each(canonicalizations, 
     assert len(assemblies) < 19440 / 4
 
 
+# the clinic model of the benchmark: a Person whose free profile holds
+# IndividualHealthcareProvider is a HealthcareProvider, so it needs a treatment
+# and a consultation ([1..*] at the source side of both)
+CLINIC = (
+    "model ClinicLint\n\n"
+    "kind Person\n"
+    "kind Organization\n"
+    "event Treatment\n"
+    "event Consultation\n"
+    "historicalRoleMixin HealthcareProvider\n"
+    "historicalRole Patient specializes Person\n"
+    "historicalRole Consultee specializes Person\n"
+    "historicalRole IndividualHealthcareProvider specializes Person, HealthcareProvider\n"
+    "mode PathologicalCondition\n"
+    "quality Severity\n\n"
+    "space Severity ordered 0..100\n\n"
+    "participation participatesPatient : Treatment [1..*] -- [1..1] Patient\n"
+    "participation participatesProvider : Treatment [1..*] -- [1..*] HealthcareProvider\n"
+    "participation consultedPatient : Consultation [1..*] -- [1..1] Consultee\n"
+    "participation consultedProvider : Consultation [1..*] -- [1..1] HealthcareProvider\n"
+    "characterization hasCondition : PathologicalCondition [0..*] -- [1..1] Person\n"
+    "characterization hasSeverity : Severity [1..1] -- [1..1] PathologicalCondition\n"
+    "comparative moreSevereThan : PathologicalCondition -- PathologicalCondition via Severity desc\n"
+)
+
+
+@pytest.mark.parametrize("text, per, count", [
+    # drawn without the bounds, _assemble refuses 1,238 of 1,524 candidates
+    # here for [0..2] conditions per Person
+    (SEVERITY, {"Person": 3, "PathologicalCondition": 6}, 286),
+    # 948 of 3,416 for [1..*] treatments per HealthcareProvider
+    ("healthcare_relator.onto", RELATOR_P3O3T3PC1, 2320),
+    # 4,464 of 5,118 for [1..*] treatments and consultations per provider
+    (CLINIC, {"Person": 2, "Organization": 1, "Treatment": 2, "Consultation": 1,
+              "PathologicalCondition": 2}, 654),
+], ids=["severity", "relator", "clinic"])
+def test_candidates_that_break_a_source_side_bound_are_not_drawn(
+        text, per, count, assemblies, canonicalizations):
+    model = load_fixture(text) if text.endswith(".onto") else parse_ok(text)
+    scope = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)}, world_limit=10**9)
+    assert len(enumerate_worlds(model, scope)) == count
+    assert sum(not accepted for _, accepted in assemblies) == 0
+    # open individuals carry no values here: one canonicalization per assembly
+    assert len(assemblies) == len(canonicalizations)
+
+
 def test_severity_worlds_cost_one_canonicalization_each(canonicalizations):
     # four open Persons and a multiset of five conditions: every swap of two
     # adjacent Persons is tried on the conditions' options
