@@ -18,6 +18,15 @@ while a vector is generated leaves the stream as it was, so the next query
 that reaches that vector raises it again, and once its cause is gone the
 stream resumes at that vector.
 
+A comparative's meta-properties are mostly decided by the ordered quality it
+is grounded in, not by the worlds: it relates x to y when x's best value
+beats y's, so strictly it is irreflexive, asymmetric and transitive in every
+world, and with ties admitted transitive in every world. check_metaproperties
+reads those verdicts off the order and searches the stream only for the
+rest (internal relations, and a lax comparative's irreflexivity and
+asymmetry); with nothing left to search it opens the stream, which refuses
+the model or scope as for any query, and generates no world.
+
 Bounds before the symmetry test: each stored relation's source-side
 multiplicity bounds the links into every target. While candidates are drawn,
 a link choice of the open individuals, or a pure multiset, that puts more
@@ -1290,9 +1299,13 @@ _METAPROPERTIES = ("irreflexive", "asymmetric", "transitive")
 
 @dataclass(frozen=True)
 class MetaReport:
-    """Brute-force meta-property verdicts with first counterexamples.
+    """Meta-property verdicts with first counterexamples.
 
-    A verdict is None when the property was not asked for.
+    A verdict is None when the property was not asked for. `entailed` lists
+    the asked properties read off the comparative's grounding quality rather
+    than searched for: such a verdict holds in every world, since the
+    comparative orders its relata by their values in that quality's ordered
+    space. Every other verdict comes from a search of the worlds in scope.
     """
 
     relation: str
@@ -1300,6 +1313,7 @@ class MetaReport:
     asymmetric: bool | None
     transitive: bool | None
     counterexamples: tuple[tuple[str, InstanceWorld, tuple[str, ...]], ...] = ()
+    entailed: tuple[str, ...] = ()
 
     def counterexample(self, prop: str):
         for name, world, ids in self.counterexamples:
@@ -1317,6 +1331,7 @@ class MetaReport:
                 {"property": name, "world": world.to_dict(), "individuals": list(ids)}
                 for name, world, ids in self.counterexamples
             ],
+            "entailed": list(self.entailed),
         }
 
 
@@ -1341,13 +1356,18 @@ def check_metaproperties(
     strict: bool = True,
     properties: tuple[str, ...] = _METAPROPERTIES,
 ) -> MetaReport:
-    """Test the asked meta-properties of a relation over every in-scope world.
+    """Decide the asked meta-properties of a relation over every in-scope world.
 
     `properties` names any of irreflexive, asymmetric and transitive; a
-    property not asked is reported as None and gets no counterexample. Each
-    counterexample is the first in enumerate_worlds order, so it has the
-    fewest individuals in scope. The search stops once every asked property
-    has one; a property that holds is checked in every world.
+    property not asked is reported as None and gets no counterexample. What
+    a comparative's grounding quality entails in every world (all three when
+    `strict`, transitivity otherwise) is read off the quality's order and
+    listed in `entailed`. Every other asked property is searched for in
+    enumerate_worlds order, so its counterexample is the first there and has
+    the fewest individuals in scope; the search stops once each searched
+    property has one, so one that holds is checked in every world. With
+    nothing to search, no world is generated, yet the model and the scope
+    are refused as by any query.
     """
     scope = scope or DEFAULT_SCOPE
     unknown = sorted(set(properties) - set(_METAPROPERTIES))
@@ -1364,18 +1384,24 @@ def check_metaproperties(
             "comparative or internal relations"
         )
     asked = [p for p in _METAPROPERTIES if p in properties]
+    comparative = rel.stereotype is RelationStereotype.COMPARATIVE
+    # R9 grounds a comparative in an ordered space, whose values are ints: > and
+    # < are strict orders on them, >= and <= preorders
+    entailed = tuple(p for p in asked if comparative and (strict or p == "transitive"))
+    searched = [p for p in asked if p not in entailed]
     counter: dict[str, tuple[InstanceWorld, tuple[str, ...]]] = {}
-    for world in _shared_worlds(model, scope):
-        if rel.stereotype is RelationStereotype.COMPARATIVE:
+    worlds = _shared_worlds(model, scope)  # refuses the model or scope even if none is read
+    for world in worlds if searched else ():
+        if comparative:
             pairs = eval_comparative(world, model, relation, strict=strict)
         else:
             pairs = {(s, t) for r, s, t in world.links if r == relation}
-        for prop in asked:
+        for prop in searched:
             if prop not in counter:
                 ids = _counterexample(prop, pairs)
                 if ids is not None:
                     counter[prop] = (world, ids)
-        if len(counter) == len(asked):
+        if len(counter) == len(searched):
             break
     verdicts = {p: (p not in counter) if p in asked else None for p in _METAPROPERTIES}
     return MetaReport(
@@ -1384,6 +1410,7 @@ def check_metaproperties(
         counterexamples=tuple(
             (name, world, ids) for name, (world, ids) in sorted(counter.items())
         ),
+        entailed=entailed,
     )
 
 

@@ -336,6 +336,7 @@ def test_metareport_serializes():
     doc = rep.to_dict()
     assert doc["relation"] == "moreSevereThan"
     assert set(doc) >= {"relation", "irreflexive", "asymmetric", "transitive"}
+    assert doc["entailed"] == ["irreflexive", "asymmetric", "transitive"]
 
 
 # --- scope plumbing -----------------------------------------------------------
@@ -674,22 +675,55 @@ def test_metaproperties_report_only_what_was_asked():
 
 
 def test_a_metaproperty_check_stops_at_its_last_counterexample(canonicalizations):
-    # it generates exactly the worlds up to its counterexample's count vector
+    # it generates exactly the worlds up to its last counterexample's count
+    # vector; lax transitivity is read off the quality's order, never searched
     per = {"Person": 2, "Organization": 1, "Treatment": 2, "PathologicalCondition": 1}
     scope = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
                   world_limit=10**9)
     full = enumerate_worlds(load_fixture("healthcare_relator.onto"), scope)
     full_cost = len(canonicalizations)
-    canonicalizations.clear()
-    rep = check_metaproperties(load_fixture("healthcare_relator.onto"), "moreSevereThan",
-                               scope, strict=False, properties=("asymmetric",))
-    check_cost = len(canonicalizations)
-    canonicalizations.clear()
-    world, _ = rep.counterexample("asymmetric")
-    upto = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
-                 world_limit=full.index(world) + 1)
-    enumerate_worlds(load_fixture("healthcare_relator.onto"), upto)
-    assert check_cost == len(canonicalizations) < full_cost
+    for properties in (("asymmetric",), ("irreflexive", "asymmetric", "transitive")):
+        canonicalizations.clear()
+        rep = check_metaproperties(load_fixture("healthcare_relator.onto"), "moreSevereThan",
+                                   scope, strict=False, properties=properties)
+        check_cost = len(canonicalizations)
+        canonicalizations.clear()
+        last = max(full.index(world) for _, world, _ in rep.counterexamples)
+        upto = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
+                     world_limit=last + 1)
+        enumerate_worlds(load_fixture("healthcare_relator.onto"), upto)
+        assert check_cost == len(canonicalizations) < full_cost
+    assert (rep.irreflexive, rep.asymmetric, rep.transitive) == (False, False, True)
+    assert rep.entailed == ("transitive",)
+
+
+def test_a_strict_comparative_check_generates_no_world(canonicalizations, enumerations):
+    model = load_fixture("healthcare_relator.onto")
+    scope = Scope(per_classifier={"Person": 2, "Organization": 1, "Treatment": 2,
+                                  "PathologicalCondition": 1},
+                  quality_values={"Severity": (3, 50, 97)})
+    rep = check_metaproperties(model, "moreSevereThan", scope)
+    assert (rep.irreflexive, rep.asymmetric, rep.transitive) == (True, True, True)
+    assert rep.entailed == ("irreflexive", "asymmetric", "transitive")
+    assert rep.counterexamples == ()
+    assert canonicalizations == [] and enumerations == [model]
+
+
+def test_a_check_that_generates_no_world_still_refuses():
+    # what refuses the model or the scope raises before the first world is needed
+    cases = [
+        (Scope(per_classifier={"Persn": 1}), ValueError, "unknown classifier 'Persn'"),
+        (Scope(quality_values={"Severty": (1,)}), ValueError, "unknown quality 'Severty'"),
+        (Scope(quality_values={"Severity": (101,)}), ValueError, "outside the space"),
+        (Scope(default_count=99), ScopeTooLargeError, "hard cap"),
+    ]
+    for scope, error, message in cases:
+        with pytest.raises(error, match=message):
+            check_metaproperties(load_fixture("healthcare_relator.onto"), "moreSevereThan", scope)
+    unordered = parse_ok(SEVERITY.replace("ordered 0..100", "nominal {mild, grave}"))
+    with pytest.raises(IllFormedModelError) as exc:
+        check_metaproperties(unordered, "moreSevereThan", Scope(default_count=1))
+    assert [d.rule_id for d in exc.value.diagnostics] == ["R9", "R9"]
 
 
 def test_a_failed_stream_resumes_at_the_vector_that_failed(monkeypatch):
