@@ -213,15 +213,19 @@ class GeneralizationSet:
     span: SourceSpan = field(default=DEFAULT_SPAN, compare=False)
 
 
+_RelationsByName = dict[str, tuple[RelationDecl, ...]]
+
+
 @dataclass
 class Model:
     """A resolved conceptual model. Treat as immutable.
 
-    Derived data is memoized on the instance: the taxonomy maps below, and
-    one world-layer entry holding the tables the world finder, validate_world
-    and eval_comparative read, with the last scope's world stream (see
-    worlds._prep). Mutating a model after any of them is computed leaves
-    them stale.
+    Derived data is memoized on the instance: the taxonomy maps below, the
+    relation index (relations by source and by target name, read by
+    relations_from / relations_to), and one world-layer entry holding the
+    tables the world finder, validate_world and eval_comparative read, with
+    the last scope's world stream (see worlds._prep). Mutating a model after
+    any of them is computed leaves them stale.
     """
 
     name: str
@@ -298,20 +302,40 @@ class Model:
 
     # -- relation indexes ----------------------------------------------
 
+    @cached_property
+    def _relation_ends(self) -> tuple[_RelationsByName, _RelationsByName]:
+        """Relations by source name and by target name, in declaration order."""
+        by_source: dict[str, list[RelationDecl]] = {}
+        by_target: dict[str, list[RelationDecl]] = {}
+        for r in self.relations.values():
+            by_source.setdefault(r.source, []).append(r)
+            by_target.setdefault(r.target, []).append(r)
+        return (
+            {n: tuple(rs) for n, rs in by_source.items()},
+            {n: tuple(rs) for n, rs in by_target.items()},
+        )
+
+    def relations_from(self, name: str) -> tuple[RelationDecl, ...]:
+        """Relations whose source is `name`, in declaration order."""
+        return self._relation_ends[0].get(name, ())
+
+    def relations_to(self, name: str) -> tuple[RelationDecl, ...]:
+        """Relations whose target is `name`, in declaration order."""
+        return self._relation_ends[1].get(name, ())
+
     def mediations_of(self, relator: str) -> list[RelationDecl]:
         """Mediations declared on the relator or inherited from an ancestor."""
-        owners = self.ancestors_or_self(relator)
         meds = [
-            r for r in self.relations.values()
-            if r.stereotype is RelationStereotype.MEDIATION and r.source in owners
+            r for owner in self.ancestors_or_self(relator) for r in self.relations_from(owner)
+            if r.stereotype is RelationStereotype.MEDIATION
         ]
         return sorted(meds, key=lambda r: r.name)
 
     def characterizations_of(self, source: str) -> list[RelationDecl]:
         return sorted(
             (
-                r for r in self.relations.values()
-                if r.stereotype is RelationStereotype.CHARACTERIZATION and r.source == source
+                r for r in self.relations_from(source)
+                if r.stereotype is RelationStereotype.CHARACTERIZATION
             ),
             key=lambda r: r.name,
         )

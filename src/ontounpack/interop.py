@@ -77,10 +77,10 @@ def leibniz_surface(model: Model, classifier: str) -> frozenset[tuple]:
     """
     up = model.ancestors_or_self(classifier)
     rows: set[tuple] = set()
-    for r in model.relations.values():
-        if r.source in up:
+    for name in up:
+        for r in model.relations_from(name):
             rows.add(("rel", r.stereotype.value, "source", r.target))
-        if r.target in up:
+        for r in model.relations_to(name):
             rows.add(("rel", r.stereotype.value, "target", r.source))
     space = model.spaces.get(classifier)
     if space is not None:

@@ -252,6 +252,9 @@ def _load_space(raw: dict, path: str) -> _RawSpace:
     if kind == "ordered":
         lo = _need(raw, path, "lo", int, "integer")
         hi = _need(raw, path, "hi", int, "integer")
+        for key, bound in (("lo", lo), ("hi", hi)):
+            if bound < 0:  # the DSL spells no sign, so render_dsl could not write it
+                raise _Bad(f"{path}.{key}", f"space bound must be >= 0, got {bound}")
         return _RawSpace(owner, (lo, hi), None, DEFAULT_SPAN)
     if kind == "nominal":
         labels = _names(_need(raw, path, "labels", list, "array"), f"{path}.labels")

@@ -52,11 +52,9 @@ def _co_instantiable(model: Model, t1: str, t2: str) -> bool:
 
 def _binding_relations(model: Model, owner: str):
     """Mediations/participations available on `owner` (declared or inherited)."""
-    up = model.ancestors_or_self(owner)
     rels = [
-        r for r in model.relations.values()
+        r for name in model.ancestors_or_self(owner) for r in model.relations_from(name)
         if r.stereotype in (RelationStereotype.MEDIATION, RelationStereotype.PARTICIPATION)
-        and r.source in up
     ]
     return sorted(rels, key=lambda r: r.name)
 

@@ -1,5 +1,9 @@
 """Textual frontend: lexer, recursive-descent parser, and DSL renderer.
 
+The lexer is one `finditer` pass of a single scanner regex whose last
+alternative takes any character no token starts with, so an illegal
+character becomes an error at its position and lexing goes on after it.
+
 Parsing is total: `parse_text` always returns either a resolved Model or a
 non-empty list of ParseErrors, never raises on malformed input. On a syntax
 error inside a declaration the parser records the error and resynchronizes at
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_SPAN,
@@ -59,8 +64,7 @@ class ParseError:
         }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT INT KEYWORD PUNCT EOF
     text: str
     line: int
@@ -81,41 +85,38 @@ _SCANNER = re.compile(
       | (?P<dotdot>\.\.)
       | (?P<dashdash>--)
       | (?P<punct>[:,\[\]{}*=])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _lex(text: str) -> tuple[list[_Token], list[ParseError]]:
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _SCANNER.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            errors.append(ParseError(SourceSpan(line, col, 1), f"illegal character {ch!r}"))
-            pos += 1
-            col += 1
-            continue
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _SCANNER.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
+        if kind == "ws" or kind == "comment":
+            continue
+        pos = m.start()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
+            line_start = pos + 1
+            continue
+        lexeme = m.group()
+        column = pos - line_start + 1
+        if kind == "bad":
+            errors.append(ParseError(SourceSpan(line, column, 1), f"illegal character {lexeme!r}"))
+            continue
+        if kind == "ident":
+            tk = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
+        elif kind == "int":
+            tk = "INT"
         else:
-            if kind == "ident":
-                tk = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
-            elif kind == "int":
-                tk = "INT"
-            else:
-                tk = "PUNCT"
-            tokens.append(_Token(tk, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+            tk = "PUNCT"
+        tokens.append(_Token(tk, lexeme, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens, errors
 
 

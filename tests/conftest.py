@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ontounpack.worlds
-from ontounpack import InstanceWorld, Model, parse_text
+from ontounpack import InstanceWorld, Model, apply_plan, parse_text, unpack_material
 
 FIXTURES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -23,6 +23,45 @@ def parse_ok(text: str) -> Model:
     result = parse_text(text)
     assert isinstance(result, Model), f"unexpected parse errors: {result}"
     return result
+
+
+def copies_text(copies: int) -> str:
+    """DSL text with `copies` renamed copies of the README's plain pattern.
+
+    Each copy has a material relation without a truthmaker (one R6 error per
+    copy), a mode characterized by an ordered quality, and a comparative
+    grounded in that quality.
+    """
+    blocks = []
+    for i in range(copies):
+        t = f"c{i}"
+        blocks.append("\n".join([
+            f"kind Person_{t}",
+            f"kind Organization_{t}",
+            f"subkind HealthcareProvider_{t} specializes Organization_{t}",
+            f"phase UnhealthyPerson_{t} specializes Person_{t}",
+            f"mode PathologicalCondition_{t}",
+            f"quality Severity_{t}",
+            f"space Severity_{t} ordered 0..100",
+            f"material treatedBy_{t} : UnhealthyPerson_{t} [1..*] -- [1..*] HealthcareProvider_{t}",
+            f"characterization hasSeverity_{t} : Severity_{t} [1..1] -- [1..1] "
+            f"PathologicalCondition_{t}",
+            f"comparative moreSevereThan_{t} : PathologicalCondition_{t} -- "
+            f"PathologicalCondition_{t} via Severity_{t} desc",
+        ]))
+    return f"model Copies{copies}\n\n" + "\n\n".join(blocks) + "\n"
+
+
+def unpacked_copies(copies: int) -> Model:
+    """The copies model with every material relation unpacked into a relator."""
+    model = parse_ok(copies_text(copies))
+    for i in range(copies):
+        t = f"c{i}"
+        plan = unpack_material(
+            model, f"treatedBy_{t}", f"Treatment_{t}", (f"Patient_{t}", f"ProviderRole_{t}"),
+        )
+        model = apply_plan(model, plan)
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -77,6 +77,18 @@ def test_parse_accepts_json_input(capsys, tmp_path):
     assert json.loads(out2) == json.loads(out)
 
 
+def test_parse_of_json_with_a_negative_space_bound_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "parse", RELATOR)
+    doc = json.loads(out)
+    doc["qualitySpaces"][0]["lo"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 2
+    assert out == ""
+    assert "qualitySpaces[0].lo: space bound must be >= 0, got -1" in err
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.onto"
     bad.write_text("model X\n\nwibble Y\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontounpack import Model, ParseError, emit_json, load_json, parse_text
+from ontounpack import Model, ParseError, emit_json, load_json, parse_text, render_dsl
 from ontounpack.jsonio import dumps_indented
 
 from conftest import load_fixture, parse_ok
@@ -87,6 +87,27 @@ def test_is_abstract_is_refused_at_its_path(plain_model):
     err = load_json(json.dumps(doc).encode())
     assert isinstance(err, ParseError)
     assert err.message.startswith("classifiers[1].isAbstract: unsupported field")
+
+
+@pytest.mark.parametrize("key, bounds", [("lo", (-1, 100)), ("hi", (0, -1))])
+def test_negative_space_bound_is_refused_at_its_path(relator_model, key, bounds):
+    # the DSL spells no sign, so such a space would render to text that does not parse
+    doc = json.loads(emit_json(relator_model))
+    space = next(s for s in doc["qualitySpaces"] if s["owner"] == "Severity")
+    space["lo"], space["hi"] = bounds
+    err = load_json(json.dumps(doc).encode())
+    assert isinstance(err, ParseError)
+    bound = dict(zip(("lo", "hi"), bounds))[key]
+    assert err.message == f"qualitySpaces[0].{key}: space bound must be >= 0, got {bound}"
+
+
+def test_zero_space_bound_renders_and_parses_again(relator_model):
+    doc = json.loads(emit_json(relator_model))
+    doc["qualitySpaces"][0]["lo"] = 0
+    doc["qualitySpaces"][0]["hi"] = 0
+    model = load_json(json.dumps(doc).encode())
+    assert isinstance(model, Model)
+    assert parse_text(render_dsl(model)) == model
 
 
 def test_deep_taxonomy_loads():
@@ -318,6 +339,7 @@ def assert_model_or_error(data: bytes):
     assert isinstance(result, (Model, ParseError))
     if isinstance(result, Model):
         assert load_json(emit_json(result)) == result
+        assert parse_text(render_dsl(result)) == result
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,19 +1,29 @@
 from __future__ import annotations
 
+import random
+import re
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontounpack.parser
 from ontounpack import (
     Model,
     Multiplicity,
+    ParseError,
     RelationStereotype,
+    SourceSpan,
     Stereotype,
     parse_text,
     render_dsl,
 )
+from ontounpack.parser import KEYWORDS, _lex
 
-from conftest import FIXTURES, parse_ok
+from conftest import FIXTURES, copies_text, parse_ok
+
+BENCH_MODELS = FIXTURES.parent / "perfbench" / "models"
 
 
 def test_parses_relator_fixture(relator_model):
@@ -172,3 +182,105 @@ def test_parser_is_total(text):
 def test_parser_total_on_keyword_soup(lines):
     result = parse_text("model Soup\n\n" + "\n".join(lines) + "\n")
     assert isinstance(result, (Model, list))
+
+
+# --- the one-pass lexer against the match-per-position loop it replaced ------
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, max(len(self.text), 1))
+
+
+_REF_SCANNER = re.compile(
+    r"""(?P<ws>[ \t\r]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<nl>\n)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<dotdot>\.\.)
+      | (?P<dashdash>--)
+      | (?P<punct>[:,\[\]{}*=])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_lex(text: str) -> tuple[list[_RefToken], list[ParseError]]:
+    """Tokens and errors of `text`, one `match` per position, columns summed per lexeme."""
+    tokens: list[_RefToken] = []
+    errors: list[ParseError] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REF_SCANNER.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            errors.append(ParseError(SourceSpan(line, col, 1), f"illegal character {ch!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(lexeme)
+        else:
+            if kind == "ident":
+                tk = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
+            elif kind == "int":
+                tk = "INT"
+            else:
+                tk = "PUNCT"
+            tokens.append(_RefToken(tk, lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(_RefToken("EOF", "", line, col))
+    return tokens, errors
+
+
+_LEX_FRAGMENTS = [
+    " ", "\t", "\r", "\n", "\r\n", "# note", "#", "..", "--", "-", ".", "é", "٣", "\x00",
+    "model", "kind", "via", "A", "x_1", "Zé", "0", "42", "007", ":", ",", "[", "]", "{", "}",
+    "*", "=", "?", "\\", "'", '"',
+]
+
+
+def _lex_inputs() -> list[str]:
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.onto"))]
+    texts += [path.read_text() for path in sorted(BENCH_MODELS.glob("*.onto"))]
+    texts += [copies_text(40), ""]
+    rng = random.Random(1207)
+    texts += [
+        "".join(rng.choices(_LEX_FRAGMENTS, k=rng.randint(1, 12))) for _ in range(3000)
+    ]
+    return texts
+
+
+def test_lexer_matches_reference_lexer(monkeypatch):
+    def rows(tokens):
+        return [(t.kind, t.text, t.line, t.column, t.span) for t in tokens]
+
+    inputs = _lex_inputs()
+    assert len(inputs) > 3000
+    for text in inputs:
+        tokens, errors = _lex(text)
+        ref_tokens, ref_errors = reference_lex(text)
+        assert rows(tokens) == rows(ref_tokens), repr(text)
+        assert [str(e) for e in errors] == [str(e) for e in ref_errors], repr(text)
+        assert errors == ref_errors, repr(text)
+
+    parsed = [parse_text(text) for text in inputs]
+    monkeypatch.setattr(ontounpack.parser, "_lex", reference_lex)
+    for text, result in zip(inputs, parsed):
+        expected = parse_text(text)
+        assert result == expected, repr(text)
+        if isinstance(result, list):
+            assert [str(e) for e in result] == [str(e) for e in expected], repr(text)

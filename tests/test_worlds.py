@@ -764,5 +764,5 @@ def test_two_scopes_of_one_model_build_one_prep(preps):
     for per in ({"Person": 1, "PathologicalCondition": 1}, {"Person": 2}):
         assert enumerate_worlds(model, unlimited(**per))
     assert preps == [model]
-    taxonomy = {"_ancestor_map", "_descendant_map"}
+    taxonomy = {"_ancestor_map", "_descendant_map", "_relation_ends"}
     assert set(model.__dict__) - set(parse_ok(SEVERITY).__dict__) - taxonomy == {"_world_prep"}
