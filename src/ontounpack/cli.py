@@ -8,7 +8,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -85,7 +84,7 @@ def _parse_quality_values(text: str) -> dict[str, tuple]:
             tok = tok.strip()
             if not tok:
                 continue
-            values.append(_int(tok, "--quality-values") if re.fullmatch(r"-?\d+", tok) else tok)
+            values.append(_int(tok, "--quality-values") if re.fullmatch(r"-?[0-9]+", tok) else tok)
         out[name] = tuple(values)
     return out
 
@@ -97,7 +96,7 @@ def _build_scope(args) -> Scope:
         if not part:
             continue
         name, eq, num = part.partition("=")
-        if not eq or not re.fullmatch(r"\d+", num.strip()):
+        if not eq or not re.fullmatch(r"[0-9]+", num.strip()):
             raise _Failure(2, f"bad --scope entry '{part}' (expected Name=INT)")
         per[name.strip()] = _int(num, "--scope")
     kwargs = {}
@@ -110,15 +109,6 @@ def _build_scope(args) -> Scope:
         return Scope(per_classifier=per, quality_values=qv, **kwargs)
     except ValueError as exc:
         raise _Failure(2, str(exc))
-
-
-def _require_format(args, *allowed: str):
-    if args.format not in allowed:
-        raise _Failure(
-            2,
-            f"--format {args.format} is not valid for '{args.command}' "
-            f"(choose from: {', '.join(allowed)})",
-        )
 
 
 def _diag_text(diags) -> str:
@@ -136,7 +126,6 @@ def _report_errors(diags) -> int:
 
 
 def _cmd_parse(args):
-    _require_format(args, "json", "text")
     model = _load_model(args.input)
     if args.format == "json":
         return 0, emit_json(model).decode("utf-8")
@@ -144,7 +133,6 @@ def _cmd_parse(args):
 
 
 def _cmd_check(args):
-    _require_format(args, "json", "text")
     model = _load_model(args.input)
     diags = check(model)
     out = _dump([d.to_dict() for d in diags]) if args.format == "json" else _diag_text(diags)
@@ -153,13 +141,12 @@ def _cmd_check(args):
 
 
 def _cmd_unpack(args):
-    _require_format(args, "json", "text")
     model = _load_model(args.input)
     try:
         if args.quality:
             if not args.space:
                 raise _Failure(2, "unpack --quality also needs --space LO..HI")
-            m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.space)
+            m = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", args.space)
             if not m:
                 raise _Failure(2, f"bad --space '{args.space}' (expected LO..HI)")
             lo, hi = (_int(bound, "--space") for bound in m.groups())
@@ -182,16 +169,11 @@ def _cmd_unpack(args):
     except OntoError as exc:
         raise _Failure(2, f"unpack failed: {exc}")
     if args.format == "json":
-        doc = {
-            "plan": plan.to_dict(),
-            "model": json.loads(emit_json(new_model).decode("utf-8")),
-        }
-        return 0, _dump(doc)
+        return 0, _dump({"plan": plan.to_dict(), "model": jsonio.model_dict(new_model)})
     return 0, render_dsl(new_model)
 
 
 def _cmd_derive_cards(args):
-    _require_format(args, "json", "text")
     model = _load_model(args.input)
     try:
         end_a, end_b, per_tuple = derive_material_cardinalities(model, args.relator)
@@ -261,7 +243,6 @@ def _cmd_lint(args):
 
 
 def _cmd_diff(args):
-    _require_format(args, "json", "text")
     left = _load_model(args.left)
     right = _load_model(args.right)
     for m in (left, right):
@@ -301,9 +282,14 @@ _DISPATCH = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    common.add_argument("-o", "--output", help="write output to a file instead of stdout")
+    def common(*formats: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--format", choices=formats, default="json")
+        parent.add_argument("-o", "--output", help="write output to a file instead of stdout")
+        return parent
+
+    model = common("json", "text")
+    world = common("json", "dot", "text")
 
     scoped = argparse.ArgumentParser(add_help=False)
     scoped.add_argument("--scope", help="Name=INT{,Name=INT} individual caps")
@@ -314,11 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ontounpack")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="parse and echo a model")
+    p = sub.add_parser("parse", parents=[model], help="parse and echo a model")
     p.add_argument("input")
-    p = sub.add_parser("check", parents=[common], help="run the well-formedness catalog")
+    p = sub.add_parser("check", parents=[model], help="run the well-formedness catalog")
     p.add_argument("input")
-    p = sub.add_parser("unpack", parents=[common], help="unpack a material or comparative relation")
+    p = sub.add_parser("unpack", parents=[model], help="unpack a material or comparative relation")
     p.add_argument("input")
     p.add_argument("relation")
     p.add_argument("--relator", help="name for the introduced relator")
@@ -326,14 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quality", help="name for the grounding quality (comparative form)")
     p.add_argument("--space", help="LO..HI ordered space for --quality")
     p.add_argument("--direction", choices=("asc", "desc"), default="desc")
-    p = sub.add_parser("derive-cards", parents=[common], help="derive material cardinalities")
+    p = sub.add_parser("derive-cards", parents=[model], help="derive material cardinalities")
     p.add_argument("input")
     p.add_argument("relator")
-    p = sub.add_parser("simulate", parents=[common, scoped], help="enumerate instance worlds")
+    p = sub.add_parser("simulate", parents=[world, scoped], help="enumerate instance worlds")
     p.add_argument("input")
-    p = sub.add_parser("lint", parents=[common, scoped], help="detect anti-patterns with witnesses")
+    p = sub.add_parser("lint", parents=[world, scoped], help="detect anti-patterns with witnesses")
     p.add_argument("input")
-    p = sub.add_parser("diff", parents=[common], help="classify correspondences between two models")
+    p = sub.add_parser("diff", parents=[model], help="classify correspondences between two models")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--pairs", help="Left=Right{,Left=Right} explicit classifier pairs")

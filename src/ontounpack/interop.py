@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (
-    MOMENT_ROOTS,
-    SORTALS,
-    Model,
-    RelationStereotype,
-    Stereotype,
-    identity_root,
-)
+from .core import SORTALS, Model, Stereotype, identity_root
 from .errors import UnknownClassifierError
 
 

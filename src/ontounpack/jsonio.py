@@ -109,8 +109,9 @@ def dumps_indented(value) -> str:
     return text(value, "\n")
 
 
-def emit_json(model: Model) -> bytes:
-    doc = {
+def model_dict(model: Model) -> dict:
+    """The document emit_json writes, as plain data."""
+    return {
         "name": model.name,
         "classifiers": [
             classifier_dict(c)
@@ -135,7 +136,10 @@ def emit_json(model: Model) -> bytes:
             for s in sorted(model.spaces.values(), key=lambda s: s.owner)
         ],
     }
-    return (dumps_indented(doc) + "\n").encode("utf-8")
+
+
+def emit_json(model: Model) -> bytes:
+    return (dumps_indented(model_dict(model)) + "\n").encode("utf-8")
 
 
 class _Bad(Exception):
@@ -292,4 +296,7 @@ def load_json(data: bytes) -> Model | ParseError:
     return result[0] if isinstance(result, list) else result
 
 
-__all__ = ["dumps_indented", "emit_json", "load_json", "classifier_dict", "relation_dict", "space_dict"]
+__all__ = [
+    "dumps_indented", "emit_json", "load_json",
+    "model_dict", "classifier_dict", "relation_dict", "space_dict",
+]

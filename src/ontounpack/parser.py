@@ -80,7 +80,7 @@ _SCANNER = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<ident>""" + _IDENT + r""")
       | (?P<dotdot>\.\.)
       | (?P<dashdash>--)
@@ -297,14 +297,11 @@ class _Parser:
     def card(self) -> Multiplicity:
         open_tok = self.expect_punct("[")
         lo = self.expect_int()
-        dd = self.peek()
-        if not (dd.kind == "PUNCT" and dd.text == ".."):
-            self.fail(dd, f"found {self._show(dd)}", expected=("'..'",))
-        self.advance()
+        self.expect_punct("..")
         tok = self.peek()
         if tok.kind == "INT":
             hi: int | None = self.expect_int()
-        elif tok.kind == "PUNCT" and tok.text == "*":
+        elif self.at_punct("*"):
             self.advance()
             hi = None
         else:
@@ -324,10 +321,7 @@ class _Parser:
         self.expect_punct(":")
         src = self.expect_ident("source classifier")
         src_mult = self.card() if self.at_punct("[") else None
-        dd = self.peek()
-        if not (dd.kind == "PUNCT" and dd.text == "--"):
-            self.fail(dd, f"found {self._show(dd)}", expected=("'--'",))
-        self.advance()
+        self.expect_punct("--")
         tgt_mult = self.card() if self.at_punct("[") else None
         tgt = self.expect_ident("target classifier")
         derived = None
@@ -340,12 +334,10 @@ class _Parser:
         if self.at_keyword("via"):
             self.advance()
             q_tok = self.expect_ident("quality name")
-            dir_tok = self.peek()
-            if dir_tok.kind == "KEYWORD" and dir_tok.text in ("asc", "desc"):
-                self.advance()
-                direction = Direction(dir_tok.text)
-            else:
-                self.fail(dir_tok, f"found {self._show(dir_tok)}", expected=("'asc'", "'desc'"))
+            if not self.at_keyword("asc", "desc"):
+                tok = self.peek()
+                self.fail(tok, f"found {self._show(tok)}", expected=("'asc'", "'desc'"))
+            direction = Direction(self.advance().text)
             via = (q_tok.text, q_tok.span, direction)
         self.relations.append(_RawRelation(
             stereo, name_tok.text, (src.text, src.span), (tgt.text, tgt.span),
@@ -383,10 +375,7 @@ class _Parser:
         if self.at_keyword("ordered"):
             self.advance()
             lo = self.expect_int()
-            dd = self.peek()
-            if not (dd.kind == "PUNCT" and dd.text == ".."):
-                self.fail(dd, f"found {self._show(dd)}", expected=("'..'",))
-            self.advance()
+            self.expect_punct("..")
             hi = self.expect_int()
             self.spaces.append(_RawSpace(owner.text, (lo, hi), None, owner.span))
             return

@@ -32,7 +32,7 @@ from .errors import (
     UnorderedSpaceError,
     UnpackError,
 )
-from .jsonio import relation_dict, space_dict
+from .jsonio import classifier_dict, relation_dict, space_dict
 from .rules import _grounds
 
 
@@ -53,10 +53,7 @@ class UnpackPlan:
     def to_dict(self) -> dict:
         return {
             "targetRelation": self.target_relation,
-            "newClassifiers": [
-                {"name": c.name, "stereotype": c.stereotype.value, "parents": list(c.parents)}
-                for c in self.new_classifiers
-            ],
+            "newClassifiers": [classifier_dict(c) for c in self.new_classifiers],
             "newRelations": [relation_dict(r) for r in self.new_relations],
             "newSpaces": [space_dict(s) for s in self.new_spaces],
             "replaces": list(self.replaces),

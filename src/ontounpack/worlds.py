@@ -28,16 +28,16 @@ asymmetry); with nothing left to search it opens the stream, which refuses
 the model or scope as for any query, and generates no world.
 
 Bounds before the symmetry test: each stored relation's source-side
-multiplicity bounds the links into every target. While candidates are drawn,
-a link choice of the open individuals, or a pure multiset, that puts more
-links into an open target than the max is dropped (links only add to a
-count), and a whole candidate is dropped before the symmetry test when it
-puts fewer than the min into a target whose free profile already holds the
-relation's target type (assembly only adds types to a profile). Both are
-refusals _assemble would make; they are invariant under the swaps below, so
-an orbit is refused whole and the least candidate of every other orbit is
-kept. _assemble still checks every bound, since memberships derived from
-links (justified roles) decide the rest.
+multiplicity bounds the links into every target. A link choice of the open
+individuals that puts more links into an open target than the max is
+dropped while candidates are drawn (links only add to a count), and a whole
+candidate is dropped before the symmetry test when it puts more than the
+max into an open target, or fewer than the min into a target whose free
+profile already holds the relation's target type (assembly only adds types
+to a profile). Both are refusals _assemble would make; they are invariant
+under the swaps below, so an orbit is refused whole and the least candidate
+of every other orbit is kept. _assemble still checks every bound, since
+memberships derived from links (justified roles) decide the rest.
 
 Symmetry handling: individuals of one identity base are interchangeable.
 Free type profiles are sorted multisets, and never-targeted ("pure") bases
@@ -59,12 +59,11 @@ rows (twin collapse; McKay & Piperno, "Practical graph isomorphism II",
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import (
     combinations,
     combinations_with_replacement,
-    compress,
     groupby,
     islice,
     product,
@@ -581,18 +580,20 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
         open_links = [choices_for[possible[ind]] for ind, _ in individuals]
         pure_options = [_pure_options(stream, b, targets) for b in pure_bases]
         # the load each link choice and each pure multiset puts on the bounded
-        # targets (a multiset's loads come in the order of its index tuples),
-        # and per open load the multisets that leave room for it
+        # targets (a multiset's loads come in the order of its index tuples);
+        # a multiset that overflows a max is refused with its whole candidate
         bounds = _Bounds(prep, targets, profile_of, sum(count_of.values()))
         loads_for = {ts: list(map(bounds.load, choices)) for ts, choices in choices_for.items()}
         open_loads = [loads_for[possible[ind]] for ind, _ in individuals]
-        pure_multisets = [
-            (list(combinations_with_replacement(range(len(opts)), count_of[b])),
-             list(map(sum, combinations_with_replacement(
-                 [bounds.load(links) for _, links, _ in opts], count_of[b]))))
+        pure_choices = [
+            list(combinations_with_replacement(range(len(opts)), count_of[b]))
             for b, opts in zip(pure_bases, pure_options)
         ]
-        room: dict[int, tuple[list, list]] = {}
+        pure_loads = [
+            list(map(sum, combinations_with_replacement(
+                [bounds.load(links) for _, links, _ in opts], count_of[b])))
+            for b, opts in zip(pure_bases, pure_options)
+        ]
         # adjacent interchangeable open individuals, as (position of a, a, b)
         pairs = enumerate(zip(individuals, individuals[1:]))
         swaps = [
@@ -612,9 +613,6 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                 for (ind, _), choices, k in zip(individuals, open_links, link_combo)
                 for r, t in choices[k]
             ]
-            if load not in room:
-                room[load] = bounds.within(load, pure_multisets)
-            pure_choices, pure_loads = room[load]
             for pure_combo, pure_load in zip(product(*pure_choices), product(*pure_loads)):
                 if not bounds.admits(load + sum(pure_load)):
                     continue
@@ -751,14 +749,6 @@ class _Bounds:
     def admits(self, load: int) -> bool:
         """Every key within its bounds: the load of a whole candidate."""
         return self.fits(load) and (load + self.under) & self.under_mask == self.under_mask
-
-    def within(self, load: int, multisets: list[tuple[list, list]]) -> tuple[list, list]:
-        """Per pure base, the multisets and their loads that fit beside `load`."""
-        kept = [[self.fits(load + l) for l in loads] for _, loads in multisets]
-        return (
-            [list(compress(m, k)) for (m, _), k in zip(multisets, kept)],
-            [list(compress(l, k)) for (_, l), k in zip(multisets, kept)],
-        )
 
 
 def _link_choices(stream: _Stream, types, targets: dict[str, tuple]) -> list[tuple]:
@@ -1021,6 +1011,7 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
     problems: list[str] = []
     prep = _prep(model)
     cls = model.classifiers
+    value_bearing = {c.name for c in prep.value_chars}
     ids = set()
     base_of_ind: dict[str, str] = {}
     for ind, base in world.individuals:
@@ -1073,9 +1064,7 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
         if decl.stereotype is RelationStereotype.COMPARATIVE:
             problems.append(f"comparative '{rel}' must not carry stored links")
             continue
-        if decl.stereotype is RelationStereotype.CHARACTERIZATION \
-                and cls.get(decl.source) is not None \
-                and cls[decl.source].stereotype is Stereotype.QUALITY:
+        if rel in value_bearing:
             problems.append(f"quality characterization '{rel}' is value-bearing, not a link")
             continue
         for end, ind in ((decl.source, s), (decl.target, t)):
@@ -1096,11 +1085,7 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
 
     # multiplicities of stored and material relations
     for r in sorted(model.relations.values(), key=lambda r: r.name):
-        if r.stereotype is RelationStereotype.COMPARATIVE:
-            continue
-        if r.stereotype is RelationStereotype.CHARACTERIZATION \
-                and cls.get(r.source) is not None \
-                and cls[r.source].stereotype is Stereotype.QUALITY:
+        if r.stereotype is RelationStereotype.COMPARATIVE or r.name in value_bearing:
             continue
         pairs = by_relation.get(r.name, [])
         outgoing: dict[str, int] = {}

@@ -309,6 +309,26 @@ def test_bad_scope_grammar_exits_2(capsys):
     assert code == 2
 
 
+def test_non_ascii_digits_exit_2(capsys, tmp_path):
+    # only ASCII digits spell integers, as in the DSL
+    src = tmp_path / "older.onto"
+    src.write_text("model M\n\nkind Person\nmaterial olderThan : Person [0..*] -- [0..*] Person\n")
+    unpack = ("unpack", str(src), "olderThan", "--quality", "Age", "--space")
+    assert run(capsys, *unpack, "0..9")[0] == 0
+    cases = [
+        (("simulate", RELATOR, "--scope",
+          "Person=\u0661,Organization=0,Treatment=0,PathologicalCondition=1"),
+         "bad --scope entry"),
+        (("simulate", RELATOR, "--scope-default", "1", "--quality-values", "Severity={\u0663}"),
+         "outside the space of quality 'Severity'"),
+        ((*unpack, "\u0660..\u0669"), "bad --space"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err
+
+
 LONG_INT = "9" * 5000  # past the interpreter's default str-to-int limit (4300)
 
 
@@ -402,9 +422,25 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text()) == []
 
 
-def test_dot_format_rejected_outside_simulate_and_lint(capsys):
-    code, out, err = run(capsys, "check", RELATOR, "--format", "dot")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ("parse", RELATOR),
+    ("check", RELATOR),
+    ("unpack", PLAIN, "treatedBy", "--relator", "Treatment", "--roles", "Patient,ProviderRole"),
+    ("derive-cards", RELATOR, "Treatment"),
+    ("diff", RELATOR, EVENT),
+], ids=lambda argv: argv[0])
+def test_dot_format_rejected_outside_simulate_and_lint(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "dot")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'dot'" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "lint"])
+def test_dot_format_accepted_by_simulate_and_lint(capsys, command):
+    code, out, err = run(capsys, command, EVENT, "--scope", "Person=2,Treatment=2",
+                         "--format", "dot")
+    assert (code, err) == (0, "")
+    assert "\ndigraph " in out
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -129,6 +129,33 @@ def test_integer_too_long_to_convert_is_a_parse_error(text):
     ]
 
 
+@pytest.mark.parametrize("text, errors", [
+    ("model T\n\nkind A\nkind B\nmaterial r : A [1 1] -- [1..1] B\n",
+     ["5:19: found '1' (expected '..')"]),
+    ("model T\n\nkind A\nkind B\nmaterial r : A [1..1] - [1..1] B\n",
+     ["5:23: illegal character '-'", "5:25: found '[' (expected '--')"]),
+    ("model T\n\nkind A\nkind B\nmaterial r : A [1..?] -- [1..1] B\n",
+     ["5:20: illegal character '?'", "5:21: found ']' (expected integer, '*')"]),
+    ("model T\n\nquality Q\nspace Q ordered 0 9\n", ["4:19: found '9' (expected '..')"]),
+    ("model T\n\nmode M\nquality Q\nspace Q ordered 0..9\n"
+     "characterization h : Q [1..1] -- [1..1] M\ncomparative c : M -- M via Q up\n",
+     ["7:30: found 'up' (expected 'asc', 'desc')"]),
+], ids=["card_dotdot", "dashdash", "card_max", "space_dotdot", "direction"])
+def test_punctuation_and_direction_errors(text, errors):
+    assert [str(e) for e in parse_text(text)] == errors
+
+
+@pytest.mark.parametrize("text, digit", [
+    ("model M\n\nquality Q\nspace Q ordered \u0663..\u0665\n", "\u0663"),
+    ("model T\n\nkind A\nkind B\nmaterial r : A [\u0661..*] -- [1..1] B\n", "\u0661"),
+], ids=["space_bound", "multiplicity"])
+def test_only_ascii_digits_are_integers(text, digit):
+    # render_dsl writes ASCII digits only, so no other spelling parses
+    errs = parse_text(text)
+    assert isinstance(errs, list)
+    assert f"illegal character {digit!r}" in [e.message for e in errs]
+
+
 # 1500 specialization levels, past the interpreter's default recursion limit
 DEEP = "model Deep\n\nkind A0\n" + "".join(
     f"subkind A{i} specializes A{i - 1}\n" for i in range(1, 1500)
@@ -202,7 +229,7 @@ _REF_SCANNER = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
       | (?P<dotdot>\.\.)
       | (?P<dashdash>--)
