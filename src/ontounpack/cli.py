@@ -63,7 +63,13 @@ def _load_model(path: str) -> Model:
     return result
 
 
-def _int(text: str, option: str) -> int:
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str, option: str) -> int | None:
+    """ASCII digits after an optional '-' (as in the DSL) as an int, else None."""
+    if not _INT.fullmatch(text):
+        return None
     try:
         return int(text)
     except ValueError:  # more digits than the interpreter converts
@@ -82,28 +88,33 @@ def _parse_quality_values(text: str) -> dict[str, tuple]:
         values = []
         for tok in body.split(","):
             tok = tok.strip()
-            if not tok:
-                continue
-            values.append(_int(tok, "--quality-values") if re.fullmatch(r"-?[0-9]+", tok) else tok)
+            if tok:
+                number = _int(tok, "--quality-values")
+                values.append(tok if number is None else number)
         out[name] = tuple(values)
     return out
 
 
 def _build_scope(args) -> Scope:
+    kwargs = {}
+    for option, field, text in (
+        ("--scope-default", "default_count", args.scope_default),
+        ("--limit", "world_limit", args.limit),
+    ):
+        if text is not None:
+            kwargs[field] = _int(text.strip(), option)
+            if kwargs[field] is None:
+                raise _Failure(2, f"bad {option} '{text}' (expected INT)")
     per: dict[str, int] = {}
     for part in (args.scope or "").split(","):
         part = part.strip()
         if not part:
             continue
         name, eq, num = part.partition("=")
-        if not eq or not re.fullmatch(r"[0-9]+", num.strip()):
+        count = _int(num.strip(), "--scope")
+        if not eq or count is None or "-" in num:
             raise _Failure(2, f"bad --scope entry '{part}' (expected Name=INT)")
-        per[name.strip()] = _int(num, "--scope")
-    kwargs = {}
-    if getattr(args, "scope_default", None) is not None:
-        kwargs["default_count"] = args.scope_default
-    if getattr(args, "limit", None) is not None:
-        kwargs["world_limit"] = args.limit
+        per[name.strip()] = count
     qv = _parse_quality_values(args.quality_values) if args.quality_values else {}
     try:
         return Scope(per_classifier=per, quality_values=qv, **kwargs)
@@ -119,10 +130,14 @@ def _diag_text(diags) -> str:
     )
 
 
-def _report_errors(diags) -> int:
-    for line in _diag_text(diags).splitlines():
-        print(line, file=sys.stderr)
-    return 1
+def _query(run, model: Model, scope: Scope):
+    """`run(model, scope)` with the world finder's refusals turned into exits."""
+    try:
+        return run(model, scope)
+    except IllFormedModelError as exc:
+        raise _Failure(1, *_diag_text(exc.diagnostics).splitlines())
+    except (ScopeTooLargeError, ValueError) as exc:
+        raise _Failure(2, str(exc))
 
 
 def _cmd_parse(args):
@@ -146,10 +161,10 @@ def _cmd_unpack(args):
         if args.quality:
             if not args.space:
                 raise _Failure(2, "unpack --quality also needs --space LO..HI")
-            m = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", args.space)
-            if not m:
+            lo, dots, hi = args.space.partition("..")
+            lo, hi = _int(lo, "--space"), _int(hi, "--space")
+            if not dots or lo is None or hi is None:
                 raise _Failure(2, f"bad --space '{args.space}' (expected LO..HI)")
-            lo, hi = (_int(bound, "--space") for bound in m.groups())
             space = QualitySpace(owner=args.quality, ordered=(lo, hi))
             plan = unpack_comparative(
                 model, args.relation, args.quality, space, Direction(args.direction)
@@ -208,12 +223,7 @@ def _world_text(world, index: int) -> str:
 def _cmd_simulate(args):
     scope = _build_scope(args)
     model = _load_model(args.input)
-    try:
-        worlds = enumerate_worlds(model, scope)
-    except IllFormedModelError as exc:
-        return _report_errors(exc.diagnostics), ""
-    except (ScopeTooLargeError, ValueError) as exc:
-        raise _Failure(2, str(exc))
+    worlds = _query(enumerate_worlds, model, scope)
     if args.format == "json":
         return 0, _dump([w.to_dict() for w in worlds])
     if args.format == "dot":
@@ -226,12 +236,7 @@ def _cmd_simulate(args):
 def _cmd_lint(args):
     scope = _build_scope(args)
     model = _load_model(args.input)
-    try:
-        diags = lint(model, scope)
-    except IllFormedModelError as exc:
-        return _report_errors(exc.diagnostics), ""
-    except (ScopeTooLargeError, ValueError) as exc:
-        raise _Failure(2, str(exc))
+    diags = _query(lint, model, scope)
     if args.format == "json":
         return 0, _dump([d.to_dict() for d in diags])
     if args.format == "dot":
@@ -248,7 +253,7 @@ def _cmd_diff(args):
     for m in (left, right):
         errors = [d for d in check(m) if d.severity is Severity.ERROR]
         if errors:
-            return _report_errors(errors), ""
+            raise _Failure(1, *_diag_text(errors).splitlines())
     pairs = None
     if args.pairs:
         pairs = []
@@ -293,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scoped = argparse.ArgumentParser(add_help=False)
     scoped.add_argument("--scope", help="Name=INT{,Name=INT} individual caps")
-    scoped.add_argument("--scope-default", type=int, help="default per-base cap")
+    scoped.add_argument("--scope-default", help="default per-base cap")
     scoped.add_argument("--quality-values", help="Name={v1,v2,...} value subsets")
-    scoped.add_argument("--limit", type=int, help="maximum number of worlds")
+    scoped.add_argument("--limit", help="maximum number of worlds")
 
     parser = argparse.ArgumentParser(prog="ontounpack")
     sub = parser.add_subparsers(dest="command", required=True)

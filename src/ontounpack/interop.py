@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SORTALS, Model, Stereotype, identity_root
+from .core import Model, Stereotype, identity_root
 from .errors import UnknownClassifierError
 
 
@@ -89,14 +89,6 @@ def _anchor_stereotype(model: Model, name: str) -> Stereotype | None:
     return model.classifiers[root].stereotype if root is not None else None
 
 
-def _kind_name(model: Model, name: str) -> str | None:
-    cls = model.classifiers[name]
-    if cls.stereotype not in SORTALS:
-        return None
-    kinds = model.kinds_reached(name)
-    return next(iter(kinds)) if len(kinds) == 1 else None
-
-
 def classify_pair(
     left: Model, lname: str, right: Model, rname: str
 ) -> list[Correspondence]:
@@ -141,7 +133,7 @@ def classify_pair(
     # synchronic role vs historical role over one kind: distinct types tied
     # by the history of the same individuals
     if {ls, rs} == {Stereotype.ROLE, Stereotype.HISTORICAL_ROLE}:
-        lk, rk = _kind_name(left, lname), _kind_name(right, rname)
+        lk, rk = identity_root(left, lname), identity_root(right, rname)
         if lk is not None and lk == rk:
             return [
                 row(
@@ -189,7 +181,7 @@ def classify_pair(
         ]
 
     # same top category, different classification principle
-    lk, rk = _kind_name(left, lname), _kind_name(right, rname)
+    lk, rk = identity_root(left, lname), identity_root(right, rname)
     if lk is not None and lk == rk:
         return [
             row(

@@ -112,10 +112,8 @@ def _ap1(model: Model, scope: Scope) -> list[Diagnostic]:
 def _ap2(model: Model, scope: Scope) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for rel in sorted(model.relations.values(), key=lambda r: r.name):
-        if rel.stereotype is not RelationStereotype.COMPARATIVE or rel.via is None:
-            continue
-        space = model.spaces.get(rel.via.quality)
-        if space is None or not space.is_ordered:
+        # R9 has refused comparatives without an ordered grounding before this runs
+        if rel.stereotype is not RelationStereotype.COMPARATIVE:
             continue
         report = check_metaproperties(
             model, rel.name, scope, strict=False, properties=("asymmetric",)

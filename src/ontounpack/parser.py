@@ -193,17 +193,22 @@ class _Parser:
     def fail(self, tok: _Token, message: str, expected: tuple[str, ...] = ()):
         raise _Unexpected(ParseError(tok.span, message, expected))
 
-    def expect_keyword(self, word: str) -> _Token:
+    def unexpected(self, *expected: str):
         tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.text == word:
-            return self.advance()
-        self.fail(tok, f"found {self._show(tok)}", expected=(f"'{word}'",))
+        shown = "end of input" if tok.kind == "EOF" else f"'{tok.text}'"
+        self.fail(tok, f"found {shown}", expected)
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
-            return self.advance()
-        self.fail(tok, f"found {self._show(tok)}", expected=(f"'{text}'",))
+    def at(self, *texts: str) -> bool:
+        """Is the next token one of these keywords or punctuation marks?
+
+        No identifier, integer or EOF token spells one, so the text decides.
+        """
+        return self.peek().text in texts
+
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
+            self.unexpected(f"'{text}'")
+        return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> _Token:
         tok = self.peek()
@@ -211,134 +216,105 @@ class _Parser:
             return self.advance()
         if tok.kind == "KEYWORD":
             self.fail(tok, f"'{tok.text}' is a reserved word", expected=(what,))
-        self.fail(tok, f"found {self._show(tok)}", expected=(what,))
+        self.unexpected(what)
 
     def expect_int(self) -> int:
         tok = self.peek()
         if tok.kind != "INT":
-            self.fail(tok, f"found {self._show(tok)}", expected=("integer",))
+            self.unexpected("integer")
         self.advance()
         try:
             return int(tok.text)
         except ValueError:  # more digits than the interpreter converts
             self.fail(tok, f"integer of {len(tok.text)} digits is too long")
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
-
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.text in words
-
-    @staticmethod
-    def _show(tok: _Token) -> str:
-        return "end of input" if tok.kind == "EOF" else f"'{tok.text}'"
+    def names(self, what: str) -> list[_Token]:
+        """One or more comma-separated identifiers."""
+        toks = [self.expect_ident(what)]
+        while self.at(","):
+            self.advance()
+            toks.append(self.expect_ident(what))
+        return toks
 
     def sync(self):
         """Skip to the next declaration keyword (or EOF)."""
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                return
-            if tok.kind == "KEYWORD" and tok.text in DECL_KEYWORDS:
-                return
+        while self.peek().kind != "EOF" and self.peek().text not in DECL_KEYWORDS:
             self.advance()
 
     # -- grammar ----------------------------------------------------------
 
     def parse(self):
         try:
-            self.expect_keyword("model")
+            self.expect("model")
             self.model_name = self.expect_ident("model name").text
         except _Unexpected as exc:
             self.errors.append(exc.error)
             self.sync()
         while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "KEYWORD" or tok.text not in DECL_KEYWORDS:
-                self.errors.append(ParseError(
-                    tok.span,
-                    f"found {self._show(tok)}",
-                    expected=("declaration keyword",),
-                ))
-                self.advance()
-                self.sync()
-                continue
+            text = self.peek().text
             try:
-                if tok.text in CLASSIFIER_KEYWORDS:
+                if text in CLASSIFIER_KEYWORDS:
                     self.classifier_decl()
-                elif tok.text in RELATION_KEYWORDS:
+                elif text in RELATION_KEYWORDS:
                     self.relation_decl()
-                elif tok.text == "genset":
+                elif text == "genset":
                     self.genset_decl()
-                else:
+                elif text == "space":
                     self.space_decl()
+                else:
+                    self.unexpected("declaration keyword")
             except _Unexpected as exc:
                 self.errors.append(exc.error)
                 self.sync()
 
     def classifier_decl(self):
-        kw = self.advance()
-        stereo = CLASSIFIER_KEYWORDS[kw.text]
+        stereo = CLASSIFIER_KEYWORDS[self.advance().text]
         name_tok = self.expect_ident("classifier name")
         parents: list[tuple[str, SourceSpan]] = []
-        if self.at_keyword("specializes"):
+        if self.at("specializes"):
             self.advance()
-            while True:
-                p = self.expect_ident("parent classifier name")
-                parents.append((p.text, p.span))
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
+            parents = [(p.text, p.span) for p in self.names("parent classifier name")]
         self.classifiers.append(_RawClassifier(stereo, name_tok.text, parents, name_tok.span))
 
     def card(self) -> Multiplicity:
-        open_tok = self.expect_punct("[")
+        open_tok = self.expect("[")
         lo = self.expect_int()
-        self.expect_punct("..")
-        tok = self.peek()
-        if tok.kind == "INT":
-            hi: int | None = self.expect_int()
-        elif self.at_punct("*"):
+        self.expect("..")
+        if self.at("*"):
             self.advance()
             hi = None
+        elif self.peek().kind == "INT":
+            hi = self.expect_int()
         else:
-            self.fail(tok, f"found {self._show(tok)}", expected=("integer", "'*'"))
-        self.expect_punct("]")
+            self.unexpected("integer", "'*'")
+        self.expect("]")
         try:
             return Multiplicity(lo, hi)
         except ValueError as exc:
-            raise _Unexpected(ParseError(
-                SourceSpan(open_tok.line, open_tok.column, 1), str(exc),
-            )) from exc
+            self.fail(open_tok, str(exc))
 
     def relation_decl(self):
-        kw = self.advance()
-        stereo = RELATION_KEYWORDS[kw.text]
+        stereo = RELATION_KEYWORDS[self.advance().text]
         name_tok = self.expect_ident("relation name")
-        self.expect_punct(":")
+        self.expect(":")
         src = self.expect_ident("source classifier")
-        src_mult = self.card() if self.at_punct("[") else None
-        self.expect_punct("--")
-        tgt_mult = self.card() if self.at_punct("[") else None
+        src_mult = self.card() if self.at("[") else None
+        self.expect("--")
+        tgt_mult = self.card() if self.at("[") else None
         tgt = self.expect_ident("target classifier")
         derived = None
-        if self.at_keyword("derivedFrom"):
+        if self.at("derivedFrom"):
             self.advance()
             rel_tok = self.expect_ident("relator name")
-            dmult = self.card() if self.at_punct("[") else None
+            dmult = self.card() if self.at("[") else None
             derived = (rel_tok.text, rel_tok.span, dmult)
         via = None
-        if self.at_keyword("via"):
+        if self.at("via"):
             self.advance()
             q_tok = self.expect_ident("quality name")
-            if not self.at_keyword("asc", "desc"):
-                tok = self.peek()
-                self.fail(tok, f"found {self._show(tok)}", expected=("'asc'", "'desc'"))
-            direction = Direction(self.advance().text)
-            via = (q_tok.text, q_tok.span, direction)
+            if not self.at("asc", "desc"):
+                self.unexpected("'asc'", "'desc'")
+            via = (q_tok.text, q_tok.span, Direction(self.advance().text))
         self.relations.append(_RawRelation(
             stereo, name_tok.text, (src.text, src.span), (tgt.text, tgt.span),
             src_mult, tgt_mult, derived, via, name_tok.span,
@@ -348,23 +324,15 @@ class _Parser:
         self.advance()
         name_tok = self.expect_ident("generalization set name")
         disjoint = complete = False
-        while self.at_keyword("disjoint", "complete"):
-            tok = self.advance()
-            if tok.text == "disjoint":
+        while self.at("disjoint", "complete"):
+            if self.advance().text == "disjoint":
                 disjoint = True
             else:
                 complete = True
-        self.expect_keyword("general")
+        self.expect("general")
         gen = self.expect_ident("general classifier")
-        self.expect_keyword("specifics")
-        specifics: list[tuple[str, SourceSpan]] = []
-        while True:
-            s = self.expect_ident("specific classifier")
-            specifics.append((s.text, s.span))
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
+        self.expect("specifics")
+        specifics = [(s.text, s.span) for s in self.names("specific classifier")]
         self.gensets.append(_RawGenset(
             name_tok.text, (gen.text, gen.span), specifics, disjoint, complete, name_tok.span,
         ))
@@ -372,29 +340,19 @@ class _Parser:
     def space_decl(self):
         self.advance()
         owner = self.expect_ident("quality name")
-        if self.at_keyword("ordered"):
+        if self.at("ordered"):
             self.advance()
             lo = self.expect_int()
-            self.expect_punct("..")
-            hi = self.expect_int()
-            self.spaces.append(_RawSpace(owner.text, (lo, hi), None, owner.span))
-            return
-        if self.at_keyword("nominal"):
+            self.expect("..")
+            self.spaces.append(_RawSpace(owner.text, (lo, self.expect_int()), None, owner.span))
+        elif self.at("nominal"):
             self.advance()
-            self.expect_punct("{")
-            labels: list[str] = []
-            while True:
-                lab = self.expect_ident("label")
-                labels.append(lab.text)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
-            self.expect_punct("}")
-            self.spaces.append(_RawSpace(owner.text, None, tuple(labels), owner.span))
-            return
-        tok = self.peek()
-        self.fail(tok, f"found {self._show(tok)}", expected=("'ordered'", "'nominal'"))
+            self.expect("{")
+            labels = tuple(lab.text for lab in self.names("label"))
+            self.expect("}")
+            self.spaces.append(_RawSpace(owner.text, None, labels, owner.span))
+        else:
+            self.unexpected("'ordered'", "'nominal'")
 
 
 # the stereotypes a relation's source may have, and how messages name them

@@ -69,13 +69,14 @@ from itertools import (
     product,
     repeat,
 )
-from operator import itemgetter
+from operator import ge, gt, itemgetter
 
 from .core import (
     MOMENT_ROOTS,
     NON_SORTALS,
     ROLE_FAMILY,
     SORTALS,
+    Direction,
     Model,
     Multiplicity,
     RelationDecl,
@@ -521,7 +522,13 @@ class _Stream:
         self.prep = prep
         self.key = key
         self.values = prep.allowed_values(scope)
-        self.caps = scope.per_classifier
+        # a base's cap already bounds its count vectors, unless a classifier of
+        # another base specializes it (a relator may specialize a kind)
+        self.caps = [
+            (name, cap) for name, cap in scope.per_classifier
+            if name not in prep.family
+            or any(name in model.ancestors(c) for c in cls if prep.base_of[c] != name)
+        ]
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.next = 0  # index of the first vector not yet in self.worlds
         self.worlds: list[InstanceWorld] = []
@@ -1259,24 +1266,17 @@ def eval_comparative(
 
     sources = world.extension(rel.source)
     targets = world.extension(rel.target)
-    cache = {ind: grounded_values(ind) for ind in set(sources) | set(targets)}
-    desc = rel.via.direction.value == "desc"
-    pairs: set[tuple[str, str]] = set()
-    for x in sources:
-        vx = cache[x]
-        if not vx:
-            continue
-        for y in targets:
-            vy = cache[y]
-            if not vy:
-                continue
-            if desc:
-                hit = max(vx) > max(vy) if strict else max(vx) >= max(vy)
-            else:
-                hit = min(vx) < min(vy) if strict else min(vx) <= min(vy)
-            if hit:
-                pairs.add((x, y))
-    return pairs
+    # asc compares least values: negated, they compare like desc's greatest
+    sign = 1 if rel.via.direction is Direction.DESC else -1
+    best = {
+        ind: max(sign * v for v in vs)
+        for ind in set(sources) | set(targets) if (vs := grounded_values(ind))
+    }
+    beats = gt if strict else ge
+    return {
+        (x, y) for x in sources if x in best
+        for y in targets if y in best and beats(best[x], best[y])
+    }
 
 
 _METAPROPERTIES = ("irreflexive", "asymmetric", "transitive")

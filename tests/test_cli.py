@@ -322,6 +322,9 @@ def test_non_ascii_digits_exit_2(capsys, tmp_path):
         (("simulate", RELATOR, "--scope-default", "1", "--quality-values", "Severity={\u0663}"),
          "outside the space of quality 'Severity'"),
         ((*unpack, "\u0660..\u0669"), "bad --space"),
+        (("simulate", RELATOR, "--scope-default", "1", "--limit", "\u0663"), "bad --limit"),
+        (("simulate", RELATOR, "--scope-default", "1", "--limit", "1_0"), "bad --limit"),
+        (("lint", RELATOR, "--scope-default", "\u0663"), "bad --scope-default"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -412,6 +415,19 @@ def test_diff_refuses_ill_formed_side(capsys):
 
 
 # --- common plumbing ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", PLAIN, "--scope-default", "1"),
+    ("lint", PLAIN, "--scope-default", "1"),
+    ("diff", PLAIN, EVENT),
+], ids=lambda argv: argv[0])
+def test_refusal_of_an_ill_formed_model_writes_no_output_file(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert (code, out) == (1, "")
+    assert "R6" in err
+    assert not target.exists()
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Every module-level import in the package is used or re-exported, and every
+module-level private name is read somewhere in the package."""
 from __future__ import annotations
 
 import ast
@@ -38,3 +39,41 @@ def test_no_unused_module_level_imports(path):
 def test_finds_an_unused_import():
     source = "from x import a, b\nimport c.d\n__all__ = ['b']\n"
     assert unused_imports(source) == ["a", "c"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level `_name` no module of `sources` reads."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_module_name_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a": "def _used(): pass\ndef _left(): pass\n_LIMIT: int = 3\nclass _Kept: pass\n",
+        "b": "from .a import _Kept\nprint(_used())\n",
+    }
+    assert unread_private_names(sources) == ["a._left", "a._LIMIT"]

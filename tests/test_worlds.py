@@ -150,6 +150,18 @@ def test_explicit_entry_caps_roles(relator_model):
     assert all(len(w.extension("Patient")) <= 1 for w in worlds)
 
 
+def test_a_base_cap_also_counts_another_base_that_specializes_it():
+    # R's individuals are As too, so A's cap bounds more than A's own count
+    m = parse_ok(
+        "model M\n\nkind A\nkind B\nrelator R specializes A\n"
+        "mediation m1 : R [0..*] -- [1..1] A\nmediation m2 : R [0..*] -- [1..1] B\n"
+    )
+    scope = unlimited(A=1, B=1, R=2)
+    worlds = enumerate_worlds(m, scope)
+    assert len(worlds) == 4
+    assert all(len(w.extension("A")) <= 1 and validate_world(m, w, scope) == [] for w in worlds)
+
+
 def test_links_come_only_from_instances_of_their_source():
     # hand count: without a marriage, 0-2 people (3); with one, two spouses
     # each loving nobody, themself or the other, up to swapping them (6)
