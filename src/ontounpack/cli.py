@@ -4,6 +4,13 @@ Exit codes: 0 success with no Error diagnostics, 1 when Error diagnostics
 were emitted, 2 on usage/parse/IO failure. Machine output goes to stdout,
 human-readable logs to stderr, and identical invocations produce
 byte-identical output.
+
+Each command returns its exit code and its output as pieces of text, which
+`main` writes to stdout or the `-o` file as they are formatted: `simulate`
+and `lint` format one world or diagnostic per piece, so the whole document
+is never held. A command refuses (model errors, scope errors, bad options)
+before it returns, so a refused run writes nothing and creates no `-o` file.
+An I/O error during the write exits 2 and may leave a partial file.
 """
 from __future__ import annotations
 
@@ -40,8 +47,10 @@ class _Failure(Exception):
         self.messages = messages
 
 
-def _dump(data) -> str:
-    return jsonio.dumps_indented(data) + "\n"
+def _dump(data):
+    """The JSON document of `data` and its final newline, in jsonio's pieces."""
+    yield from jsonio.iter_indented(data)
+    yield "\n"
 
 
 def _load_model(path: str) -> Model:
@@ -143,14 +152,14 @@ def _query(run, model: Model, scope: Scope):
 def _cmd_parse(args):
     model = _load_model(args.input)
     if args.format == "json":
-        return 0, emit_json(model).decode("utf-8")
-    return 0, render_dsl(model)
+        return 0, [emit_json(model).decode("utf-8")]
+    return 0, [render_dsl(model)]
 
 
 def _cmd_check(args):
     model = _load_model(args.input)
     diags = check(model)
-    out = _dump([d.to_dict() for d in diags]) if args.format == "json" else _diag_text(diags)
+    out = _dump(d.to_dict() for d in diags) if args.format == "json" else [_diag_text(diags)]
     code = 1 if any(d.severity is Severity.ERROR for d in diags) else 0
     return code, out
 
@@ -185,7 +194,7 @@ def _cmd_unpack(args):
         raise _Failure(2, f"unpack failed: {exc}")
     if args.format == "json":
         return 0, _dump({"plan": plan.to_dict(), "model": jsonio.model_dict(new_model)})
-    return 0, render_dsl(new_model)
+    return 0, [render_dsl(new_model)]
 
 
 def _cmd_derive_cards(args):
@@ -203,16 +212,17 @@ def _cmd_derive_cards(args):
     }
     if args.format == "json":
         return 0, _dump(doc)
-    return 0, (
+    return 0, [
         f"{args.relator}: endA {meds[0].target} {end_a}, "
         f"endB {meds[1].target} {end_b}, perTuple {per_tuple}\n"
-    )
+    ]
 
 
 def _world_text(world, index: int) -> str:
     lines = [f"world {index}"]
+    types = dict(world.type_rows)  # not world.types, which the world would keep
     for ind, _base in world.individuals:
-        lines.append(f"  {ind} : {', '.join(sorted(world.types[ind]))}")
+        lines.append(f"  {ind} : {', '.join(sorted(types[ind]))}")
     for rel, s, t in world.links:
         lines.append(f"  link {rel} {s} -> {t}")
     for q, b, v in world.value_rows:
@@ -225,12 +235,10 @@ def _cmd_simulate(args):
     model = _load_model(args.input)
     worlds = _query(enumerate_worlds, model, scope)
     if args.format == "json":
-        return 0, _dump([w.to_dict() for w in worlds])
+        return 0, _dump(w.to_dict() for w in worlds)
     if args.format == "dot":
-        return 0, "".join(
-            world_to_dot(model, w, name=f"world_{i}") for i, w in enumerate(worlds)
-        )
-    return 0, "".join(_world_text(w, i) for i, w in enumerate(worlds))
+        return 0, (world_to_dot(model, w, name=f"world_{i}") for i, w in enumerate(worlds))
+    return 0, (_world_text(w, i) for i, w in enumerate(worlds))
 
 
 def _cmd_lint(args):
@@ -238,13 +246,11 @@ def _cmd_lint(args):
     model = _load_model(args.input)
     diags = _query(lint, model, scope)
     if args.format == "json":
-        return 0, _dump([d.to_dict() for d in diags])
+        return 0, _dump(d.to_dict() for d in diags)
     if args.format == "dot":
-        witnesses = [d.witness for d in diags if d.witness is not None]
-        return 0, "".join(
-            world_to_dot(model, w, name=f"witness_{i}") for i, w in enumerate(witnesses)
-        )
-    return 0, _diag_text(diags)
+        witnesses = (d.witness for d in diags if d.witness is not None)
+        return 0, (world_to_dot(model, w, name=f"witness_{i}") for i, w in enumerate(witnesses))
+    return 0, [_diag_text(diags)]
 
 
 def _cmd_diff(args):
@@ -267,8 +273,8 @@ def _cmd_diff(args):
     except OntoError as exc:
         raise _Failure(2, str(exc))
     if args.format == "json":
-        return 0, _dump([c.to_dict() for c in rows])
-    return 0, "".join(
+        return 0, _dump(c.to_dict() for c in rows)
+    return 0, (
         f"{c.left[0]}:{c.left[1]} ~ {c.right[0]}:{c.right[1]}: "
         f"{c.verdict.value} — {c.rationale}\n"
         for c in rows
@@ -338,20 +344,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, out = _DISPATCH[args.command](args)
+        code, chunks = _DISPATCH[args.command](args)
     except _Failure as failure:
         for message in failure.messages:
             print(message, file=sys.stderr)
         return failure.code
     if args.output:
         try:
-            Path(args.output).write_text(out, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as stream:
+                stream.writelines(chunks)
         except OSError as exc:
             print(f"cannot write {args.output}: {exc}", file=sys.stderr)
             return 2
     else:
         try:
-            sys.stdout.write(out)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             devnull = os.open(os.devnull, os.O_WRONLY)

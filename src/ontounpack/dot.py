@@ -31,10 +31,11 @@ def world_to_dot(model: Model, world: InstanceWorld, name: str = "world") -> str
         "  rankdir=LR;",
         "  node [fontsize=10];",
     ]
+    types = dict(world.type_rows)  # not world.types, which the world would keep
     for ind, base in world.individuals:
         decl = model.classifiers.get(base)
         shape = _SHAPES.get(decl.stereotype, "box") if decl else "box"
-        parts = [ind, ", ".join(sorted(world.types[ind]))]
+        parts = [ind, ", ".join(sorted(types[ind]))]
         for q, b, v in world.value_rows:
             if b == ind:
                 parts.append(f"{q} = {v}")

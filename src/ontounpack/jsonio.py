@@ -3,7 +3,7 @@
 emit_json is byte-stable: keys sorted, declarations sorted by name, no
 volatile data. Source spans are deliberately not serialized; they locate
 declarations in DSL text and are not part of model structure. All JSON
-output, models and the CLI's documents alike, is written by dumps_indented.
+output, models and the CLI's documents alike, is written by iter_indented.
 """
 from __future__ import annotations
 
@@ -67,46 +67,65 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def dumps_indented(value) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), without its encoder.
+def _text(value, newline: str) -> str:
+    """One value as json.dumps writes it, `newline` being its line start.
+
+    Each container is joined as soon as it is written, so no list of small
+    pieces as long as the whole text is ever held.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def iter_indented(value):
+    """The text of json.dumps(value, sort_keys=True, indent=2) in pieces.
 
     With an indent, json.dumps always takes the pure-Python encoder; this
     writer gives the same bytes faster. Strings go through the C string
     encoder, ints, floats, bools and None are spelt as json.dumps spells
-    them, tuples are written as lists and dict keys must be strings. Each
-    container is joined as soon as it is written, so no list of small pieces
-    as long as the whole text is ever held.
+    them, tuples are written as lists and dict keys must be strings. A
+    top-level list comes one item per piece, so a caller can write each
+    item as soon as it is formatted; a top-level iterator (a generator, say)
+    is written as a list, so its items need not exist before they are due.
     """
-    def text(value, newline: str) -> str:
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _float_text(value)
-        inner = newline + "  "
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            items = [text(item, inner) for item in value]
-            return "[" + inner + ("," + inner).join(items) + newline + "]"
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [
-                encode_basestring_ascii(key) + ": " + text(item, inner)
-                for key, item in sorted(value.items())
-            ]
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not isinstance(value, (list, tuple)) and not hasattr(value, "__next__"):
+        yield _text(value, "\n")
+        return
+    lead = "[\n  "
+    for item in value:
+        yield lead + _text(item, "\n  ")
+        lead = ",\n  "
+    yield "[]" if lead[0] == "[" else "\n]"  # "[" still leads: no items
 
-    return text(value, "\n")
+
+def dumps_indented(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2): iter_indented's pieces joined."""
+    return "".join(iter_indented(value))
 
 
 def model_dict(model: Model) -> dict:
@@ -297,6 +316,6 @@ def load_json(data: bytes) -> Model | ParseError:
 
 
 __all__ = [
-    "dumps_indented", "emit_json", "load_json",
+    "dumps_indented", "iter_indented", "emit_json", "load_json",
     "model_dict", "classifier_dict", "relation_dict", "space_dict",
 ]

@@ -14,6 +14,7 @@ from typing import Any
 from .core import (
     ANTI_RIGID,
     HISTORICAL,
+    MOMENT_ROOTS,
     ROLE_FAMILY,
     SORTALS,
     Model,
@@ -105,17 +106,24 @@ def check(model: Model) -> list[Diagnostic]:
                 f"'{c.name}' reaches several kinds: {', '.join(kinds)}", tuple(kinds),
             ))
 
-    # R2: a kind specializes no sortal.
+    # R2: a kind specializes no sortal, and no sortal, relator, mode or event
+    # specializes a relator, mode or event of another flavour: each anchors
+    # its own identity, which its specializations inherit.
     for c in classifiers.values():
-        if c.stereotype is not Stereotype.KIND:
+        if c.stereotype not in SORTALS and c.stereotype not in MOMENT_ROOTS:
             continue
         bad = sorted(
-            a for a in model.ancestors(c.name) if classifiers[a].stereotype in SORTALS
+            a for a in model.ancestors(c.name)
+            if classifiers[a].stereotype in SORTALS and c.stereotype is Stereotype.KIND
+            or classifiers[a].stereotype in MOMENT_ROOTS
+            and classifiers[a].stereotype is not c.stereotype
         )
         if bad:
+            first = classifiers[bad[0]].stereotype
+            what = "sortal" if first in SORTALS else first.value
             out.append(Diagnostic(
                 "R2", err, c.span,
-                f"kind '{c.name}' specializes sortal '{bad[0]}'", tuple(bad),
+                f"{c.stereotype.value} '{c.name}' specializes {what} '{bad[0]}'", tuple(bad),
             ))
 
     # R3: a rigid classifier never specializes an anti-rigid one.

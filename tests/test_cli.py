@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ontounpack
-from ontounpack import Model, Scope, enumerate_worlds, parse_text
+from ontounpack import Model, Scope, cli, enumerate_worlds, parse_text
 from ontounpack.cli import main
+from ontounpack.dot import world_to_dot
 
 from conftest import FIXTURES
 from test_worlds import TOY
@@ -373,10 +376,16 @@ def test_lint_json_includes_witness(capsys):
 
 
 def test_lint_dot_witnesses(capsys):
+    model = parse_text(Path(EVENT).read_text())
+    witnesses = [d.witness for d in ontounpack.lint(model, Scope(per_classifier={
+        "Person": 2, "Treatment": 2})) if d.witness is not None]
+    assert witnesses
     code, out, err = run(capsys, "lint", EVENT, "--format", "dot",
                          "--scope", "Person=2,Treatment=2")
-    assert code == 0
+    assert (code, err) == (0, "")
     assert "digraph witness_0" in out
+    assert out == "".join(
+        world_to_dot(model, w, name=f"witness_{i}") for i, w in enumerate(witnesses))
 
 
 def test_lint_refuses_ill_formed_input(capsys):
@@ -534,3 +543,113 @@ def test_simulate_json_is_json_dumps_sorted_and_indented(capsys, fixture):
     worlds = enumerate_worlds(model, Scope(default_count=1, world_limit=40))
     assert len(worlds) > 1
     assert out == json.dumps([w.to_dict() for w in worlds], sort_keys=True, indent=2) + "\n"
+
+
+# --- output is written as it is formatted --------------------------------------
+
+ONE_PERSON = ("--scope", "Person=1,Organization=0,Treatment=0,PathologicalCondition=1",
+              "--quality-values", "Severity={1,2}")
+ONE_PERSON_TEXT = """\
+world 0
+world 1
+  Person_0 : Person
+world 2
+  Person_0 : Person, UnhealthyPerson
+world 3
+  PathologicalCondition_0 : PathologicalCondition
+  value Severity(PathologicalCondition_0) = 1
+world 4
+  PathologicalCondition_0 : PathologicalCondition
+  value Severity(PathologicalCondition_0) = 2
+world 5
+  PathologicalCondition_0 : PathologicalCondition
+  Person_0 : Person
+  value Severity(PathologicalCondition_0) = 1
+world 6
+  PathologicalCondition_0 : PathologicalCondition
+  Person_0 : Person
+  value Severity(PathologicalCondition_0) = 2
+world 7
+  PathologicalCondition_0 : PathologicalCondition
+  Person_0 : Person, UnhealthyPerson
+  value Severity(PathologicalCondition_0) = 1
+world 8
+  PathologicalCondition_0 : PathologicalCondition
+  Person_0 : Person, UnhealthyPerson
+  value Severity(PathologicalCondition_0) = 2
+"""
+
+
+def simulate_both_ways(capsys, tmp_path, *argv):
+    """(code, stdout, stderr) of one simulate run, checking -o writes the same bytes."""
+    target = tmp_path / "out"
+    result = run(capsys, "simulate", RELATOR, *argv)
+    assert run(capsys, "simulate", RELATOR, *argv, "-o", str(target)) == (result[0], "", "")
+    assert target.read_bytes() == result[1].encode("utf-8")
+    return result
+
+
+def test_simulate_formats_give_their_documents(capsys, tmp_path):
+    model = parse_text(Path(RELATOR).read_text())
+    scope = Scope(per_classifier={"Person": 1, "Organization": 0, "Treatment": 0,
+                                  "PathologicalCondition": 1},
+                  quality_values={"Severity": (1, 2)})
+    worlds = enumerate_worlds(model, scope)
+    assert len(worlds) == 9
+    expected = {
+        "json": json.dumps([w.to_dict() for w in worlds], sort_keys=True, indent=2) + "\n",
+        "dot": "".join(world_to_dot(model, w, name=f"world_{i}") for i, w in enumerate(worlds)),
+    }
+    for fmt, document in expected.items():
+        assert simulate_both_ways(capsys, tmp_path, *ONE_PERSON, "--format", fmt) == (
+            0, document, "")
+    assert simulate_both_ways(capsys, tmp_path, *ONE_PERSON, "--format", "text") == (
+        0, ONE_PERSON_TEXT, "")
+
+
+@pytest.mark.parametrize("fmt, document", [("json", "[]\n"), ("dot", ""), ("text", "")])
+def test_simulate_of_no_worlds_gives_an_empty_document(capsys, tmp_path, monkeypatch,
+                                                      fmt, document):
+    # every model admits the empty world, so only a stubbed finder lists none
+    monkeypatch.setattr(cli, "enumerate_worlds", lambda model, scope: [])
+    assert simulate_both_ways(capsys, tmp_path, "--format", fmt) == (0, document, "")
+
+
+def test_simulate_output_costs_less_memory_than_its_file(tmp_path):
+    # the document is written world by world, so the whole run needs little
+    # more memory than the world finder alone: less than the file it writes
+    scope_text = "Person=3,Organization=3,Treatment=3,PathologicalCondition=0"
+    model = parse_text(Path(RELATOR).read_text())
+    scope = Scope(per_classifier={"Person": 3, "Organization": 3, "Treatment": 3,
+                                  "PathologicalCondition": 0}, world_limit=10**9)
+    target = tmp_path / "worlds.json"
+
+    def traced_peak(call) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    finder = traced_peak(lambda: enumerate_worlds(model, scope))
+    whole = traced_peak(lambda: main(["simulate", RELATOR, "--scope", scope_text,
+                                      "--limit", "1000000000", "-o", str(target)]))
+    assert len(json.loads(target.read_bytes())) == 580
+    assert whole - finder < target.stat().st_size, (whole, finder)
+
+
+def test_simulate_exits_0_when_its_reader_stops_early():
+    package_root = str(Path(ontounpack.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ontounpack.cli", "simulate", EVENT,
+         "--scope", "Person=2,Treatment=2,Organization=2", "--limit", "1000000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

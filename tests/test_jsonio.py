@@ -5,11 +5,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontounpack import Model, ParseError, emit_json, load_json, parse_text, render_dsl
-from ontounpack.jsonio import dumps_indented
+from ontounpack.jsonio import dumps_indented, iter_indented
 
 from conftest import load_fixture, parse_ok
 
@@ -376,7 +376,7 @@ def test_load_json_is_total_on_mutated_fixtures(data):
     assert_model_or_error(json.dumps(document).encode())
 
 
-# --- dumps_indented is json.dumps(..., sort_keys=True, indent=2) -----------------
+# --- iter_indented, joined, is json.dumps(..., sort_keys=True, indent=2) ---------
 
 WRITER_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -391,8 +391,21 @@ WRITER_VALUES = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(WRITER_VALUES)
+@example([]).via("empty list")
+@example({}).via("empty object")
+@example(()).via("empty tuple")
+@example([[], {}, ()]).via("nested empty containers")
+@example({"a": [], "b": {}, "c": [[{}]]}).via("empty containers in an object")
 def test_dumps_indented_is_json_dumps_sorted_and_indented(value):
-    assert dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert dumps_indented(value) == expected
+    pieces = list(iter_indented(value))
+    assert "".join(pieces) == expected
+    if isinstance(value, (list, tuple)):
+        # one piece per top-level item, then the closing bracket
+        assert len(pieces) == len(value) + 1
+        # an iterator is written as the list of its items, each built when due
+        assert "".join(iter_indented(item for item in value)) == expected
 
 
 def test_dumps_indented_refuses_what_json_cannot_write():
