@@ -11,10 +11,15 @@ and `lint` format one world or diagnostic per piece, so the whole document
 is never held. A command refuses (model errors, scope errors, bad options)
 before it returns, so a refused run writes nothing and creates no `-o` file.
 An I/O error during the write exits 2 and may leave a partial file.
+
+The argument parser is built on the first `main` call and reused by every
+later one in the process: `parse_args` makes a fresh Namespace per call and
+keeps no parse state in the parser.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -292,6 +297,7 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     def common(*formats: str) -> argparse.ArgumentParser:
         parent = argparse.ArgumentParser(add_help=False)

@@ -106,15 +106,16 @@ def check(model: Model) -> list[Diagnostic]:
                 f"'{c.name}' reaches several kinds: {', '.join(kinds)}", tuple(kinds),
             ))
 
-    # R2: a kind specializes no sortal, and no sortal, relator, mode or event
-    # specializes a relator, mode or event of another flavour: each anchors
-    # its own identity, which its specializations inherit.
+    # R2: no kind, relator, mode or event specializes a sortal, and no sortal,
+    # relator, mode or event specializes a relator, mode or event of another
+    # flavour: each anchors its own identity, which its specializations inherit.
     for c in classifiers.values():
         if c.stereotype not in SORTALS and c.stereotype not in MOMENT_ROOTS:
             continue
         bad = sorted(
             a for a in model.ancestors(c.name)
             if classifiers[a].stereotype in SORTALS and c.stereotype is Stereotype.KIND
+            or classifiers[a].stereotype in SORTALS and c.stereotype in MOMENT_ROOTS
             or classifiers[a].stereotype in MOMENT_ROOTS
             and classifiers[a].stereotype is not c.stereotype
         )

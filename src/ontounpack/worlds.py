@@ -501,6 +501,11 @@ class _Stream:
     Errors, names the model does not declare, a scope over
     MAX_TOTAL_INDIVIDUALS, scope values outside their space) raises on
     creation, before the first world.
+
+    What depends only on the open individuals' profiles is built once per
+    open-profile assignment, as a _Frame in `frames`, and serves every count
+    vector that draws that assignment; per-bearer value options are
+    memoized in `value_options`.
     """
 
     def __init__(self, prep: _Prep, scope: Scope, key: tuple):
@@ -514,26 +519,22 @@ class _Stream:
             if q not in cls or cls[q].stereotype is not Stereotype.QUALITY:
                 raise ValueError(f"scope values name unknown quality '{q}'")
         caps = [scope.count_for_base(b) for b in prep.bases]
-        if sum(caps) > MAX_TOTAL_INDIVIDUALS:
+        self.total = sum(caps)  # the most individuals of any count vector
+        if self.total > MAX_TOTAL_INDIVIDUALS:
             raise ScopeTooLargeError(
-                f"scope admits up to {sum(caps)} individuals; "
+                f"scope admits up to {self.total} individuals; "
                 f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
             )
         self.prep = prep
         self.key = key
         self.values = prep.allowed_values(scope)
-        # a base's cap already bounds its count vectors, unless a classifier of
-        # another base specializes it (a relator may specialize a kind)
-        self.caps = [
-            (name, cap) for name, cap in scope.per_classifier
-            if name not in prep.family
-            or any(name in model.ancestors(c) for c in cls if prep.base_of[c] != name)
-        ]
+        # a base's cap already bounds its count vectors
+        self.caps = [(name, cap) for name, cap in scope.per_classifier if name not in prep.family]
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.next = 0  # index of the first vector not yet in self.worlds
         self.worlds: list[InstanceWorld] = []
         self.value_options: dict[frozenset[str], list[tuple]] = {}
-        self.link_choices: dict[tuple, list[tuple]] = {}
+        self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
 
     def __iter__(self) -> Iterator[InstanceWorld]:
         # walk by index, so interleaved iterations each see every world
@@ -562,52 +563,33 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
     """Yield the canonical key of every world with these per-base counts."""
     prep = stream.prep
     open_bases = [b for b in prep.open_bases if count_of[b] > 0]
-    pure_bases = [b for b in prep.pure_bases if count_of[b] > 0]
+    # the pure bases with individuals, by position in prep.pure_bases
+    pure_at = [n for n, b in enumerate(prep.pure_bases) if count_of[b] > 0]
+    pure_bases = [prep.pure_bases[n] for n in pure_at]
 
     # free-type profiles for open (targetable) bases, as multisets
     for open_profiles in product(*(
         combinations_with_replacement(prep.profiles[b], count_of[b]) for b in open_bases
     )):
-        individuals: list[tuple[str, str]] = []   # (id, base); ids provisional
-        profile_of: dict[str, frozenset[str]] = {}
-        for b, profs in zip(open_bases, open_profiles):
-            for i, prof in enumerate(profs):
-                ind = f"{b}_{i}"
-                individuals.append((ind, b))
-                profile_of[ind] = prof
-        possible = {ind: prep.possible_types[profile_of[ind]] for ind, _ in individuals}
-        targets = {
-            r.name: tuple(ind for ind, _ in individuals if r.target in possible[ind])
-            for r in prep.stored
-        }
-        # each open individual holds the links its possible types allow (one
-        # list per type set); a pure-base individual packs its links and
-        # values into one option; candidates are indices into these lists
-        choices_for = {ts: _link_choices(stream, ts, targets) for ts in set(possible.values())}
-        open_links = [choices_for[possible[ind]] for ind, _ in individuals]
-        pure_options = [_pure_options(stream, b, targets) for b in pure_bases]
-        # the load each link choice and each pure multiset puts on the bounded
-        # targets (a multiset's loads come in the order of its index tuples);
-        # a multiset that overflows a max is refused with its whole candidate
-        bounds = _Bounds(prep, targets, profile_of, sum(count_of.values()))
-        loads_for = {ts: list(map(bounds.load, choices)) for ts, choices in choices_for.items()}
-        open_loads = [loads_for[possible[ind]] for ind, _ in individuals]
+        key = tuple(zip(open_bases, open_profiles))
+        frame = stream.frames.get(key)
+        if frame is None:
+            frame = stream.frames[key] = _Frame(stream, key)
+        individuals, profile_of = frame.individuals, frame.profile_of
+        open_links, open_loads = frame.open_links, frame.open_loads
+        bounds, symmetry = frame.bounds, frame.symmetry
+        pure_options = [frame.pure_options[n] for n in pure_at]
+        # a pure base's multisets of options as index tuples, and their summed
+        # loads in the same order; a multiset that overflows a max is refused
+        # with its whole candidate
         pure_choices = [
             list(combinations_with_replacement(range(len(opts)), count_of[b]))
             for b, opts in zip(pure_bases, pure_options)
         ]
         pure_loads = [
-            list(map(sum, combinations_with_replacement(
-                [bounds.load(links) for _, links, _ in opts], count_of[b])))
-            for b, opts in zip(pure_bases, pure_options)
+            list(map(sum, combinations_with_replacement(frame.pure_loads[n], count_of[b])))
+            for n, b in zip(pure_at, pure_bases)
         ]
-        # adjacent interchangeable open individuals, as (position of a, a, b)
-        pairs = enumerate(zip(individuals, individuals[1:]))
-        swaps = [
-            (at, a, b) for at, ((a, base), (b, other)) in pairs
-            if base == other and profile_of[a] == profile_of[b]
-        ]
-        symmetry = _Symmetry(swaps, open_links, pure_options) if swaps else None
         for link_combo in product(*map(range, map(len, open_links))):
             load = sum(map(list.__getitem__, open_loads, link_combo))
             if not bounds.fits(load):
@@ -623,7 +605,7 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
             for pure_combo, pure_load in zip(product(*pure_choices), product(*pure_loads)):
                 if not bounds.admits(load + sum(pure_load)):
                     continue
-                if ties and any(symmetry.shrinks(swap, pure_combo) for swap in ties):
+                if ties and any(symmetry.shrinks(swap, pure_at, pure_combo) for swap in ties):
                     continue
                 inds = list(individuals)
                 links = list(base_links)
@@ -651,6 +633,52 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                     for (ind, _), combo in zip(individuals, open_values):
                         value_map.update({(q, ind): v for q, v in combo})
                     yield _canonicalize(inds, types, all_links, value_map)
+
+
+class _Frame:
+    """What every candidate of one open-profile assignment shares, whatever the pure counts.
+
+    An assignment is a (base, profile multiset) pair per open base with
+    individuals. It fixes the open individuals and so the link targets, and
+    with them each open individual's link choices, every pure base's
+    options, the loads of both, the bounds and the symmetry. A count vector
+    adds only its pure multisets.
+    """
+
+    def __init__(self, stream: _Stream, open_profiles: tuple):
+        prep = stream.prep
+        self.individuals: list[tuple[str, str]] = []   # (id, base); ids provisional
+        self.profile_of: dict[str, frozenset[str]] = {}
+        for b, profs in open_profiles:
+            for i, prof in enumerate(profs):
+                ind = f"{b}_{i}"
+                self.individuals.append((ind, b))
+                self.profile_of[ind] = prof
+        possible = {ind: prep.possible_types[prof] for ind, prof in self.profile_of.items()}
+        targets = {
+            r.name: tuple(ind for ind, _ in self.individuals if r.target in possible[ind])
+            for r in prep.stored
+        }
+        # each open individual holds the links its possible types allow (one
+        # list per type set); a pure-base individual packs its links and
+        # values into one option; candidates are indices into these lists
+        choices_for = {ts: _link_choices(prep, ts, targets) for ts in set(possible.values())}
+        self.open_links = [choices_for[possible[ind]] for ind, _ in self.individuals]
+        self.pure_options = [_pure_options(stream, b, targets) for b in prep.pure_bases]
+        # the load each link choice and each pure option puts on the bounded targets
+        self.bounds = bounds = _Bounds(prep, targets, self.profile_of, stream.total)
+        loads_for = {ts: list(map(bounds.load, choices)) for ts, choices in choices_for.items()}
+        self.open_loads = [loads_for[possible[ind]] for ind, _ in self.individuals]
+        self.pure_loads = [
+            [bounds.load(links) for _, links, _ in opts] for opts in self.pure_options
+        ]
+        # adjacent interchangeable open individuals, as (position of a, a, b)
+        pairs = enumerate(zip(self.individuals, self.individuals[1:]))
+        swaps = [
+            (at, a, b) for at, ((a, base), (b, other)) in pairs
+            if base == other and self.profile_of[a] == self.profile_of[b]
+        ]
+        self.symmetry = _Symmetry(swaps, self.open_links, self.pure_options) if swaps else None
 
 
 class _Symmetry:
@@ -697,11 +725,16 @@ class _Symmetry:
                 ties.append(swap)
         return ties
 
-    def shrinks(self, swap, pure_combo: tuple) -> bool:
-        """Whether a swap that keeps the open part equal makes the pure part smaller."""
+    def shrinks(self, swap, pure_at: list[int], pure_combo: tuple) -> bool:
+        """Whether a swap that keeps the open part equal makes the pure part smaller.
+
+        `pure_combo` holds a multiset per pure base with individuals, and
+        `pure_at` those bases' positions among all of them, so the memoized
+        images of one frame serve every count vector.
+        """
         image = tuple(
-            tuple(sorted(self._image(swap, n, i) for i in combo))
-            for n, combo in enumerate(pure_combo, self.opens)
+            tuple(sorted(self._image(swap, self.opens + n, i) for i in combo))
+            for n, combo in zip(pure_at, pure_combo)
         )
         return image < pure_combo
 
@@ -710,15 +743,19 @@ class _Bounds:
     """Source-side bounds of the stored relations on open targets, checked on packed loads.
 
     A load counts the links into every bounded (relation, target) key, one
-    bit field per key. A field is wide enough for the count vector's
-    individual count plus a guard bit, since one source links a key at most
-    once, so loads add as plain integers without carrying between fields.
-    Adding an offset sets a field's guard bit exactly when its count is over
-    the max (`fits`), or at least the min (`admits`). A key has a max when the
-    relation's source-side max is below the individual count, and a min when
-    that min is positive and the target's free profile holds the relation's
-    target type: assembly only adds types to the profile, so the target is
-    bound to be an instance.
+    bit field per key. `total` is the scope's largest individual count (the
+    sum of its base caps), so one layout serves every count vector of a
+    stream. A field is wide enough for `total` plus a guard bit, since one
+    source links a key at most once, so loads add as plain integers without
+    carrying between fields. Adding an offset sets a field's guard bit
+    exactly when its count is over the max (`fits`), or at least the min
+    (`admits`). A key has a max when the relation's source-side max is below
+    `total`, and a min when that min is positive and the target's free
+    profile holds the relation's target type: assembly only adds types to
+    the profile, so the target is bound to be an instance. A vector with
+    fewer individuals decides as a layout sized to it would: no count
+    exceeds the vector's individual count, so a max between that count and
+    `total` is never exceeded, and a min above it still refuses every load.
     """
 
     def __init__(self, prep: _Prep, targets: dict[str, tuple], profile_of, total: int):
@@ -758,24 +795,20 @@ class _Bounds:
         return self.fits(load) and (load + self.under) & self.under_mask == self.under_mask
 
 
-def _link_choices(stream: _Stream, types, targets: dict[str, tuple]) -> list[tuple]:
+def _link_choices(prep: _Prep, types, targets: dict[str, tuple]) -> list[tuple]:
     """Every tuple of (relation, target) links one source with `types` can hold.
 
     The product, over the stored relations whose source is in `types`, of the
-    target sets that relation's target-side bound admits; memoized per stream.
+    target sets that relation's target-side bound admits.
     """
-    key = (types, *targets.values())
-    choices = stream.link_choices.get(key)
-    if choices is None:
-        choices = stream.link_choices[key] = [
-            tuple(link for group in combo for link in group)
-            for combo in product(*(
-                [tuple((r.name, t) for t in chosen)
-                 for chosen in _target_subsets(targets[r.name], r.target_mult)]
-                for r in stream.prep.stored if r.source in types
-            ))
-        ]
-    return choices
+    return [
+        tuple(link for group in combo for link in group)
+        for combo in product(*(
+            [tuple((r.name, t) for t in chosen)
+             for chosen in _target_subsets(targets[r.name], r.target_mult)]
+            for r in prep.stored if r.source in types
+        ))
+    ]
 
 
 def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list[tuple]:
@@ -784,7 +817,7 @@ def _pure_options(stream: _Stream, base: str, targets: dict[str, tuple]) -> list
     return [
         (profile, links, values)
         for profile in prep.profiles[base]
-        for links in _link_choices(stream, profile, targets)
+        for links in _link_choices(prep, profile, targets)
         for values in _value_options(stream, profile)
     ]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
@@ -514,6 +515,49 @@ def test_main_without_subcommand_exits_2():
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 2  # no subcommand given
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    run(capsys, "check", RELATOR)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "check", RELATOR)[0] == 0
+    assert built == []
+
+
+def test_a_reused_parser_gives_what_a_fresh_one_gives(capsys, tmp_path):
+    target = tmp_path / "worlds.json"
+    scope = ("--scope", "Person=2,Treatment=2")
+    sequence = [
+        ("parse", RELATOR, "--format", "json"),
+        ("check", PLAIN, "--format", "text"),
+        ("simulate", EVENT, *scope, "-o", str(target)),
+        ("simulate", EVENT, *scope),
+        ("lint", EVENT, *scope, "--format", "dot"),
+        ("diff", RELATOR, EVENT),
+        ("simulate", EVENT, "--limit", "1_0"),
+        ("frobnicate", RELATOR),
+        ("lint", EVENT, *scope),
+    ]
+
+    def outcomes(fresh_parser: bool) -> list:
+        seen = []
+        for argv in sequence:
+            target.unlink(missing_ok=True)
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            seen.append((*run(capsys, *argv), target.read_bytes() if target.exists() else None))
+        return seen
+
+    reused = outcomes(False)
+    assert reused == outcomes(True)
+    assert [outcome[0] for outcome in reused] == [0, 1, 0, 0, 0, 0, 2, 2, 0]
 
 
 @pytest.mark.skipif(shutil.which("ontounpack") is None,

@@ -1,13 +1,16 @@
-"""Every module-level import in the package is used or re-exported, and every
-module-level private name is read somewhere in the package."""
+"""Every module-level import in the package is used or re-exported, every
+module-level private name is read somewhere in the package, and every name the
+benchmark's tracer wraps exists."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ontounpack"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,3 +80,14 @@ def test_finds_an_unread_private_name():
         "b": "from .a import _Kept\nprint(_used())\n",
     }
     assert unread_private_names(sources) == ["a._left", "a._LIMIT"]
+
+
+def test_every_traced_boundary_names_a_callable(monkeypatch):
+    # the benchmark's tracer wraps each (module, attribute) by name at run time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    missing = [
+        (site, attr) for site, attr in spans.BOUNDARIES
+        if not callable(getattr(importlib.import_module(f"ontounpack.{site}"), attr, None))
+    ]
+    assert spans.BOUNDARIES and missing == []

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ontounpack.worlds
 
@@ -26,7 +29,8 @@ from ontounpack import (
     validate_world,
 )
 
-from ontounpack.core import identity_root
+from ontounpack.core import Multiplicity, identity_root
+from ontounpack.worlds import MAX_TOTAL_INDIVIDUALS
 
 from conftest import assert_no_isomorphic_pair, load_fixture, parse_ok
 
@@ -148,18 +152,6 @@ def test_explicit_entry_caps_roles(relator_model):
     worlds = enumerate_worlds(relator_model, scope)
     assert worlds
     assert all(len(w.extension("Patient")) <= 1 for w in worlds)
-
-
-def test_a_base_cap_also_counts_another_base_that_specializes_it():
-    # R's individuals are As too, so A's cap bounds more than A's own count
-    m = parse_ok(
-        "model M\n\nkind A\nkind B\nrelator R specializes A\n"
-        "mediation m1 : R [0..*] -- [1..1] A\nmediation m2 : R [0..*] -- [1..1] B\n"
-    )
-    scope = unlimited(A=1, B=1, R=2)
-    worlds = enumerate_worlds(m, scope)
-    assert len(worlds) == 4
-    assert all(len(w.extension("A")) <= 1 and validate_world(m, w, scope) == [] for w in worlds)
 
 
 def test_links_come_only_from_instances_of_their_source():
@@ -563,6 +555,63 @@ def test_severity_worlds_cost_one_canonicalization_each(canonicalizations):
     worlds = enumerate_worlds(parse_ok(SEVERITY), unlimited(Person=4, PathologicalCondition=5))
     assert len(worlds) == 469
     assert len(canonicalizations) == len(worlds)
+
+
+# --- what one open-profile assignment fixes is built once per stream -----------
+
+
+def test_each_open_profile_frame_is_built_once_per_stream(monkeypatch):
+    # built per open-profile iteration, these were 216 bounds and 504 pure
+    # option lists for the 24 distinct (pure base, targets) inputs
+    made = Counter()
+    real_init = ontounpack.worlds._Bounds.__init__
+    real_pure_options = ontounpack.worlds._pure_options
+
+    def counting_init(self, *args):
+        made["bounds"] += 1
+        real_init(self, *args)
+
+    def counting_pure_options(*args):
+        made["pure options"] += 1
+        return real_pure_options(*args)
+
+    monkeypatch.setattr(ontounpack.worlds._Bounds, "__init__", counting_init)
+    monkeypatch.setattr(ontounpack.worlds, "_pure_options", counting_pure_options)
+    scope = unlimited(Person=2, Organization=1, Treatment=2, Consultation=1, PathologicalCondition=2)
+    assert len(enumerate_worlds(parse_ok(CLINIC), scope)) == 654
+    assert made == {"bounds": 6, "pure options": 24}
+
+
+@st.composite
+def bounded_loads(draw):
+    """A source-side bound, a scope total T, a vector total t <= T and per-target counts <= t."""
+    scope_total = draw(st.integers(0, MAX_TOTAL_INDIVIDUALS))
+    total = draw(st.integers(0, scope_total))
+    lo = draw(st.integers(0, scope_total + 2))
+    hi = draw(st.none() | st.integers(max(lo, 1), scope_total + 2))
+    targets = draw(st.lists(st.tuples(st.integers(0, total), st.booleans()), max_size=3))
+    return lo, hi, scope_total, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_loads())
+@example((0, 2, 3, [(3, True)]))      # a count at the scope total, one over the max
+@example((4, None, 3, [(3, True)]))   # a min above the scope total
+def test_bounds_sized_to_the_scope_decide_as_plain_comparisons(case):
+    # each target holds `count` links; its min applies when its profile holds the type
+    lo, hi, scope_total, targets = case
+    relation = SimpleNamespace(name="r", target="T", source_mult=Multiplicity(lo, hi))
+    ids = [f"T_{i}" for i in range(len(targets))]
+    profile_of = {
+        ind: frozenset({"T"} if typed else ()) for ind, (_, typed) in zip(ids, targets)
+    }
+    bounds = ontounpack.worlds._Bounds(
+        SimpleNamespace(stored=[relation]), {"r": tuple(ids)}, profile_of, scope_total,
+    )
+    load = bounds.load([("r", ind) for ind, (count, _) in zip(ids, targets) for _ in range(count)])
+    under_max = all(hi is None or count <= hi for count, _ in targets)
+    assert bounds.fits(load) == under_max
+    assert bounds.admits(load) == (under_max and all(count >= lo for count, typed in targets if typed))
 
 
 @pytest.mark.parametrize("text, per", [
