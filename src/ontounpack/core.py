@@ -223,9 +223,9 @@ class Model:
     Derived data is memoized on the instance: the taxonomy maps below, the
     relation index (relations by source and by target name, read by
     relations_from / relations_to), and one world-layer entry holding the
-    tables the world finder, validate_world and eval_comparative read, with
-    the last scope's world stream (see worlds._prep). Mutating a model after
-    any of them is computed leaves them stale.
+    tables the world finder, validate_world and eval_comparative read, and
+    the model's rule Errors, but no world (see worlds._prep). Mutating a
+    model after any of them is computed leaves them stale.
     """
 
     name: str

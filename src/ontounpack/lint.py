@@ -22,7 +22,7 @@ from .worlds import (
     DEFAULT_SCOPE,
     Goal,
     Scope,
-    _shared_worlds,
+    _worlds,
     check_metaproperties,
     find_witness,
 )
@@ -157,7 +157,7 @@ def lint(model: Model, scope: Scope | None = None) -> list[Diagnostic]:
     if errors:
         raise IllFormedModelError(errors)
     scope = scope or DEFAULT_SCOPE
-    _shared_worlds(model, scope)  # opens the stream the queries share, which checks the scope
+    _worlds(model, scope)  # refuses the scope even when no pattern matches
     found = _ap1(model, scope) + _ap2(model, scope)
     return sorted(found, key=sort_key)
 

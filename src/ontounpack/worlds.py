@@ -8,15 +8,16 @@ worlds, and is deterministic.
 
 Worlds form a stream ordered by (individual count, per-base count vector,
 canonical key): count vectors come in increasing total and each vector is
-generated, deduped and sorted on its own. A query stops pulling once it has
-its answer, so a witness is a world with the fewest individuals in scope and
-costs only the worlds before it. Queries on one Model instance and scope
-(enumerate_worlds, find_witness, check_metaproperties) share one stream: it
-keeps the worlds generated so far, grows by one whole count vector at a
-time, and a later query resumes it where the last one stopped. An error
-while a vector is generated leaves the stream as it was, so the next query
-that reaches that vector raises it again, and once its cause is gone the
-stream resumes at that vector.
+generated, deduped and sorted on its own. Each query (enumerate_worlds,
+find_witness, check_metaproperties) walks its own stream and stops pulling
+once it has its answer, so a witness is a world with the fewest individuals
+in scope. A walk skips every count vector that cannot hold the query's
+answer: a goal variable or a relation end needs an individual of a base
+that may carry its type, and every emitted world passes validate_world,
+which types no individual outside those bases. So a witness costs only the
+worlds before it in the vectors that could hold it. No world outlives its
+query, and an error leaves nothing behind: the next query starts over. The
+model's rule check runs once per Model instance.
 
 A comparative's meta-properties are mostly decided by the ordered quality it
 is grounded in, not by the worlds: it relates x to y when x's best value
@@ -24,8 +25,8 @@ beats y's, so strictly it is irreflexive, asymmetric and transitive in every
 world, and with ties admitted transitive in every world. check_metaproperties
 reads those verdicts off the order and searches the stream only for the
 rest (internal relations, and a lax comparative's irreflexivity and
-asymmetry); with nothing left to search it opens the stream, which refuses
-the model or scope as for any query, and generates no world.
+asymmetry); with nothing left to search it still opens its walk, which
+refuses the model or scope as for any query, and generates no world.
 
 Bounds before the symmetry test: each stored relation's source-side
 multiplicity bounds the links into every target. A link choice of the open
@@ -89,7 +90,7 @@ from .errors import (
     MissingQualityValueError,
     ScopeTooLargeError,
 )
-from .rules import Severity, check
+from .rules import Diagnostic, Severity, check
 
 
 def _as_sorted_items(value) -> tuple:
@@ -244,7 +245,6 @@ class _Prep:
 
     def __init__(self, model: Model):
         self.model = model
-        self.stream: _Stream | None = None  # the last scope's worlds
         cls = model.classifiers
 
         self.base_of: dict[str, str | None] = {
@@ -346,6 +346,11 @@ class _Prep:
                     )))
             self.groundings[q] = (direct, modes)
 
+    @cached_property
+    def errors(self) -> list[Diagnostic]:
+        """The model's rule Errors; a query on a model with any is refused."""
+        return [d for d in check(self.model) if d.severity is Severity.ERROR]
+
     # -- taxonomy helpers ------------------------------------------------
 
     def bases_of(self, classifier: str) -> frozenset[str]:
@@ -442,13 +447,6 @@ def _target_subsets(candidates: tuple, mult: Multiplicity | None):
 # enumeration
 # --------------------------------------------------------------------------
 
-def _check_model(model: Model):
-    diagnostics = check(model)
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
-        raise IllFormedModelError(errors)
-
-
 # the most individuals one scope may admit, summed over the identity bases
 MAX_TOTAL_INDIVIDUALS = 14
 
@@ -459,11 +457,11 @@ def enumerate_worlds(model: Model, scope: Scope | None = None) -> list[InstanceW
     Worlds come in the order (individual count, per-base count vector,
     canonical key), so the list is exhaustive whenever the total count fits
     under world_limit, and otherwise holds the smallest worlds. Only the
-    worlds returned are generated. A scope admitting more than
-    MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
+    worlds returned are generated; no vector is skipped. A scope admitting
+    more than MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
     """
     scope = scope or DEFAULT_SCOPE
-    return list(islice(_shared_worlds(model, scope), scope.world_limit))
+    return list(islice(_worlds(model, scope), scope.world_limit))
 
 
 _PREP_MEMO = "_world_prep"
@@ -473,7 +471,8 @@ def _prep(model: Model) -> _Prep:
     """The model's _Prep, built once per Model instance.
 
     It stays in the model's __dict__ next to its cached_property maps (so ==,
-    repr and output are unaffected) and holds the last scope's stream.
+    repr and output are unaffected). It holds tables of the model alone,
+    its rule Errors among them, and no world.
     """
     prep = model.__dict__.get(_PREP_MEMO)
     if prep is None:
@@ -481,15 +480,9 @@ def _prep(model: Model) -> _Prep:
     return prep
 
 
-def _shared_worlds(model: Model, scope: Scope) -> Iterator[InstanceWorld]:
-    """The worlds of (model, scope) from the first, generated once per Model instance and scope."""
-    prep = _prep(model)
-    # values keep their type in the key: 1 == 1.0, yet they make different worlds
-    values = tuple((q, tuple((type(v), v) for v in vs)) for q, vs in scope.quality_values)
-    key = (scope.per_classifier, scope.default_count, values)
-    if prep.stream is None or prep.stream.key != key:
-        prep.stream = _Stream(prep, scope, key)
-    return iter(prep.stream)
+def _worlds(model: Model, scope: Scope, needs=()) -> Iterator[InstanceWorld]:
+    """A walk of the worlds of (model, scope) from the first; see _Stream.walk for `needs`."""
+    return _Stream(_prep(model), scope).walk(needs)
 
 
 class _Stream:
@@ -505,12 +498,14 @@ class _Stream:
     What depends only on the open individuals' profiles is built once per
     open-profile assignment, as a _Frame in `frames`, and serves every count
     vector that draws that assignment; per-bearer value options are
-    memoized in `value_options`.
+    memoized in `value_options`. _worlds makes one stream per query and only
+    its walk holds it, so these tables are freed with the walk.
     """
 
-    def __init__(self, prep: _Prep, scope: Scope, key: tuple):
+    def __init__(self, prep: _Prep, scope: Scope):
         model = prep.model
-        _check_model(model)
+        if prep.errors:
+            raise IllFormedModelError(prep.errors)
         cls = model.classifiers
         for name, _ in scope.per_classifier:
             if name not in cls:
@@ -526,46 +521,37 @@ class _Stream:
                 f"the hard cap is {MAX_TOTAL_INDIVIDUALS}"
             )
         self.prep = prep
-        self.key = key
         self.values = prep.allowed_values(scope)
         # a base's cap already bounds its count vectors
         self.caps = [(name, cap) for name, cap in scope.per_classifier if name not in prep.family]
+        # a pure base capped at 0 has individuals in no vector, so it needs no options
+        self.pure_bases = [b for b in prep.pure_bases if scope.count_for_base(b) > 0]
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
-        self.next = 0  # index of the first vector not yet in self.worlds
-        self.worlds: list[InstanceWorld] = []
         self.value_options: dict[frozenset[str], list[tuple]] = {}
         self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
 
-    def __iter__(self) -> Iterator[InstanceWorld]:
-        # walk by index, so interleaved iterations each see every world
-        i = 0
-        while i < len(self.worlds) or self._grow():
-            yield self.worlds[i]
-            i += 1
+    def walk(self, needs) -> Iterator[InstanceWorld]:
+        """The worlds in stream order, but for each count vector that leaves a `needs` group empty.
 
-    def _grow(self) -> bool:
-        """Append the worlds of the next count vector that has any; False once none is left.
-
-        A vector's worlds are appended only once all of them are generated,
-        so an error leaves the stream as it was.
+        A query names one group of identity bases per individual its answer
+        needs: those whose individuals may carry that individual's types
+        (_Prep.bases_of). A skipped vector holds no answer, so the first
+        answer is the full stream's.
         """
-        while self.next < len(self.vectors):
-            counts = dict(zip(self.prep.bases, self.vectors[self.next]))
-            keys = sorted(set(_worlds_for_counts(self, counts)))
-            self.worlds += [InstanceWorld(*rows) for rows in keys]
-            self.next += 1
-            if keys:
-                return True
-        return False
+        at = [[n for n, b in enumerate(self.prep.bases) if b in group] for group in needs]
+        for vector in self.vectors:
+            if all(any(vector[n] for n in group) for group in at):
+                keys = sorted(set(_worlds_for_counts(self, dict(zip(self.prep.bases, vector)))))
+                yield from (InstanceWorld(*rows) for rows in keys)
 
 
 def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
     """Yield the canonical key of every world with these per-base counts."""
     prep = stream.prep
     open_bases = [b for b in prep.open_bases if count_of[b] > 0]
-    # the pure bases with individuals, by position in prep.pure_bases
-    pure_at = [n for n, b in enumerate(prep.pure_bases) if count_of[b] > 0]
-    pure_bases = [prep.pure_bases[n] for n in pure_at]
+    # the pure bases with individuals, by position in stream.pure_bases
+    pure_at = [n for n, b in enumerate(stream.pure_bases) if count_of[b] > 0]
+    pure_bases = [stream.pure_bases[n] for n in pure_at]
 
     # free-type profiles for open (targetable) bases, as multisets
     for open_profiles in product(*(
@@ -664,7 +650,7 @@ class _Frame:
         # values into one option; candidates are indices into these lists
         choices_for = {ts: _link_choices(prep, ts, targets) for ts in set(possible.values())}
         self.open_links = [choices_for[possible[ind]] for ind, _ in self.individuals]
-        self.pure_options = [_pure_options(stream, b, targets) for b in prep.pure_bases]
+        self.pure_options = [_pure_options(stream, b, targets) for b in stream.pure_bases]
         # the load each link choice and each pure option puts on the bounded targets
         self.bounds = bounds = _Bounds(prep, targets, self.profile_of, stream.total)
         loads_for = {ts: list(map(bounds.load, choices)) for ts, choices in choices_for.items()}
@@ -1240,10 +1226,17 @@ def find_witness(model: Model, scope: Scope | None, goal: Goal) -> InstanceWorld
     the fewest individuals, the one with the least count vector, then the
     least canonical key. Exhaustive regardless of scope.world_limit, since a
     witness search must not miss worlds the limit would truncate, yet it
-    generates no world past the witness.
+    generates no world past the witness. Its walk skips every count vector
+    with no individual of a base that one goal variable's types all admit:
+    no world there satisfies the goal, so the witness is the same.
     """
     scope = scope or DEFAULT_SCOPE
-    for world in _shared_worlds(model, scope):
+    prep = _prep(model)
+    groups: dict[str, frozenset[str]] = {}  # per variable, the bases that admit its types
+    for var, c in goal.typings:
+        bases = prep.bases_of(c)
+        groups[var] = groups.get(var, bases) & bases
+    for world in _worlds(model, scope, groups.values()):
         if goal_holds(world, goal):
             return world
     return None
@@ -1383,9 +1376,10 @@ def check_metaproperties(
     listed in `entailed`. Every other asked property is searched for in
     enumerate_worlds order, so its counterexample is the first there and has
     the fewest individuals in scope; the search stops once each searched
-    property has one, so one that holds is checked in every world. With
-    nothing to search, no world is generated, yet the model and the scope
-    are refused as by any query.
+    property has one, so one that holds is checked in every world that has
+    an instance of both ends (a pair needs one of each, so the walk skips
+    the count vectors without). With nothing to search, no world is
+    generated, yet the model and the scope are refused as by any query.
     """
     scope = scope or DEFAULT_SCOPE
     unknown = sorted(set(properties) - set(_METAPROPERTIES))
@@ -1408,7 +1402,9 @@ def check_metaproperties(
     entailed = tuple(p for p in asked if comparative and (strict or p == "transitive"))
     searched = [p for p in asked if p not in entailed]
     counter: dict[str, tuple[InstanceWorld, tuple[str, ...]]] = {}
-    worlds = _shared_worlds(model, scope)  # refuses the model or scope even if none is read
+    bases_of = _prep(model).bases_of
+    # a pair needs an instance of each end; the walk refuses the model or scope even if unread
+    worlds = _worlds(model, scope, (bases_of(rel.source), bases_of(rel.target)))
     for world in worlds if searched else ():
         if comparative:
             pairs = eval_comparative(world, model, relation, strict=strict)

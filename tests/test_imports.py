@@ -1,6 +1,7 @@
 """Every module-level import in the package is used or re-exported, every
-module-level private name is read somewhere in the package, and every name the
-benchmark's tracer wraps exists."""
+module-level private name is read somewhere in the package, every name the
+benchmark's tracer wraps exists, and a `lint` run calls each name the tracer
+expects of the `lint_clinic` workload."""
 from __future__ import annotations
 
 import ast
@@ -91,3 +92,24 @@ def test_every_traced_boundary_names_a_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(f"ontounpack.{site}"), attr, None))
     ]
     assert spans.BOUNDARIES and missing == []
+
+
+def test_a_lint_run_crosses_every_boundary_its_workload_traces(monkeypatch):
+    # the benchmark's self-test fails on a traced name its workload no longer calls
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    calls = dict.fromkeys(spans.EXPECTED["lint_clinic"], 0)
+    for site, attr in calls:
+        module = importlib.import_module(f"ontounpack.{site}")
+
+        def counting(*args, _key=(site, attr), _fn=getattr(module, attr), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    scope = "Person=2,Organization=0,Treatment=1,Consultation=1,PathologicalCondition=1"
+    cli = importlib.import_module("ontounpack.cli")
+    argv = ["lint", str(PERFBENCH / "models" / "clinic_lint.onto"), "--scope", scope,
+            "--quality-values", "Severity={3,50,97}"]
+    assert cli.main(argv) == 0
+    assert calls and all(calls.values()), calls

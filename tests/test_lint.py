@@ -22,6 +22,7 @@ from test_worlds import TOY
 PAIR_SCOPE = Scope(per_classifier={"Person": 2, "Treatment": 2})
 
 EVENT_TEXT = (FIXTURES / "healthcare_event.onto").read_text()
+MODELS_DIR = FIXTURES.parent / "perfbench" / "models"
 
 DISJOINT_GENSET = (
     "genset CareSeparation disjoint general Person"
@@ -150,13 +151,28 @@ CLINIC_SCOPE = Scope(per_classifier={
 
 
 def test_lint_enumerates_once_for_all_its_queries(enumerations):
-    # two AP1 witness searches and one AP2 metaproperty check, one world space
+    # two AP1 witness searches and one AP2 metaproperty check, one rule check
     model = parse_ok(CLINIC)
     diags = lint(model, CLINIC_SCOPE)
     assert [(d.rule_id, d.severity) for d in diags] == [
         ("AP1", Severity.WARNING), ("AP1", Severity.WARNING), ("AP2", Severity.WARNING),
     ]
     assert len(enumerations) == 1 and enumerations[0] is model
+
+
+@pytest.mark.parametrize("per", [
+    {"Person": 2, "Organization": 0, "Treatment": 1, "Consultation": 1, "PathologicalCondition": 1},
+    {"Person": 2, "Organization": 1, "Treatment": 2, "Consultation": 1, "PathologicalCondition": 2},
+    {"Person": 3, "Organization": 1, "Treatment": 2, "Consultation": 1, "PathologicalCondition": 1},
+], ids=["P2O0T1C1PC1", "P2O1T2C1PC2", "P3O1T2C1PC1"])
+def test_each_lint_query_generates_only_the_vectors_its_answer_can_sit_in(per, canonicalizations):
+    # the benchmark's clinic scopes: a shared stream generated 10, 22 and 17 worlds
+    model = parse_ok((MODELS_DIR / "clinic_lint.onto").read_text())
+    diags = lint(model, Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)}))
+    assert [(d.rule_id, d.severity) for d in diags] == [
+        ("AP1", Severity.WARNING), ("AP1", Severity.WARNING), ("AP2", Severity.WARNING),
+    ]
+    assert len(canonicalizations) == 5
 
 
 def test_lint_findings_match_queries_on_fresh_models():

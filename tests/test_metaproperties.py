@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ontounpack import InstanceWorld, Model, RelationStereotype, Scope, check_metaproperties
-from ontounpack.worlds import _counterexample, _shared_worlds, eval_comparative
+from ontounpack.worlds import _counterexample, _worlds, eval_comparative
 
 from conftest import load_fixture, parse_ok
 from test_acceptance import SEVERITY_MODEL
@@ -53,7 +53,7 @@ def reference_check_metaproperties(
     rel = model.relations[relation]
     asked = [p for p in METAPROPERTIES if p in properties]
     counter: dict[str, tuple[InstanceWorld, tuple[str, ...]]] = {}
-    for world in _shared_worlds(model, scope):
+    for world in _worlds(model, scope):
         if rel.stereotype is RelationStereotype.COMPARATIVE:
             pairs = eval_comparative(world, model, relation, strict=strict)
         else:

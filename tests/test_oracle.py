@@ -119,6 +119,25 @@ def orbit_encodings(model: Model, scope: Scope) -> set[tuple]:
 
 SUCCESSOR = "model Queue\n\nkind Person\ninternal next : Person [0..1] -- [0..1] Person\n"
 
+PHASES = (
+    "model Phases\n\n"
+    "kind Person\n"
+    "phase Healthy specializes Person\n"
+    "phase Sick specializes Person\n"
+    "genset Health disjoint complete general Person specifics Healthy, Sick\n"
+)
+
+# two roles of Person, each had only through a mediation of one Treatment
+CARE = (
+    "model Care\n\n"
+    "kind Person\n"
+    "role Patient specializes Person\n"
+    "role Doctor specializes Person\n"
+    "relator Treatment\n"
+    "mediation involvesPatient : Treatment [1..*] -- [1..1] Patient\n"
+    "mediation involvesDoctor : Treatment [1..*] -- [1..1] Doctor\n"
+)
+
 CASES = {
     "toy": (TOY, {"Person": 3}, {}),
     "severity": (SEVERITY, {"Person": 1, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
@@ -153,6 +172,27 @@ CASES = {
     # one colour, which only the orders tried inside a colour tie tell apart
     "successor": (SUCCESSOR, {"Person": 4}, {}),
     "successor_wide": (SUCCESSOR, {"Person": 5}, {}),
+    # the refusals _assemble makes after drawing a candidate: a complete
+    # genset with a free profile in no specific, a disjoint genset broken by
+    # two defining links, a free subrole with no link behind its role (with
+    # no source-side min on the link, which the bounds would check first), a
+    # role cap, and a material pair grounded by more relators than its
+    # derivation multiplicity allows
+    "genset_complete_phases": (PHASES, {"Person": 3}, {}),
+    "genset_disjoint_roles": (
+        CARE + "genset Care disjoint general Person specifics Patient, Doctor\n",
+        {"Person": 2, "Treatment": 1}, {}),
+    "genset_complete_roles": (
+        CARE + "genset Care complete general Person specifics Patient, Doctor\n",
+        {"Person": 2, "Treatment": 1}, {}),
+    "free_subrole": (CARE.replace("Treatment [1..*] -- [1..1] Patient",
+                                  "Treatment [0..*] -- [1..1] Patient")
+                     + "role Inpatient specializes Patient\n",
+                     {"Person": 3, "Treatment": 1}, {}),
+    "role_cap": (CARE, {"Person": 3, "Treatment": 2, "Patient": 1}, {}),
+    "derivation_multiplicity": (
+        CARE + "material treats : Doctor [0..*] -- [0..*] Patient derivedFrom Treatment [1..1]\n",
+        {"Person": 2, "Treatment": 2}, {}),
 }
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +19,7 @@ from ontounpack import (
     IllFormedModelError,
     InstanceWorld,
     MissingQualityValueError,
+    RelationStereotype,
     Scope,
     ScopeTooLargeError,
     Stereotype,
@@ -403,22 +407,22 @@ def test_optional_values_on_a_pure_base_are_canonicalized_once(canonicalizations
     assert_no_isomorphic_pair(worlds)
 
 
-# --- one enumeration per (model, scope) ----------------------------------------
+# --- one rule check per model -------------------------------------------------
 
 
-def test_metaproperty_checks_share_one_enumeration(enumerations):
+def test_metaproperty_checks_on_one_model_check_it_once(enumerations):
     scope = unlimited(Person=2, PathologicalCondition=3)
     model = parse_ok(SEVERITY)
     asks = [("moreSevereThan", True), ("moreSeriousThan", True), ("moreSevereThan", False)]
     reports = [check_metaproperties(model, rel, scope, strict=strict) for rel, strict in asks]
-    assert enumerations == [model]
+    assert enumerations == [model]  # the rule check runs once per Model instance
     fresh = [check_metaproperties(parse_ok(SEVERITY), rel, scope, strict=strict)
              for rel, strict in asks]
     assert reports == fresh
     assert not reports[2].asymmetric
 
 
-def test_world_limit_slices_the_shared_list(enumerations):
+def test_world_limit_takes_the_first_worlds_of_the_stream(enumerations):
     per = {"Person": 2, "PathologicalCondition": 3}
     model = parse_ok(SEVERITY)
     assert len(enumerate_worlds(model, Scope(per_classifier=per, world_limit=1))) == 1
@@ -432,7 +436,7 @@ def test_each_scope_gets_its_own_worlds(enumerations):
     model = parse_ok(TOY)
     counts = [len(enumerate_worlds(model, unlimited(Person=n))) for n in (2, 3, 2)]
     assert counts == [6, 10, 6]
-    assert len(enumerations) == 3  # only the last scope's list is kept
+    assert enumerations == [model]  # the rule check runs once per Model instance
 
 
 def test_equal_values_of_another_type_get_their_own_worlds():
@@ -635,14 +639,14 @@ def test_worlds_come_by_size_then_count_vector_then_key(text, per):
     assert [order(w) for w in worlds] == sorted(order(w) for w in worlds)
 
 
-def test_interleaved_iterations_each_see_every_world():
+def test_interleaved_walks_each_see_every_world():
     model = parse_ok(SEVERITY)
     scope = unlimited(Person=2, PathologicalCondition=3)
-    a = ontounpack.worlds._shared_worlds(model, scope)
-    b = ontounpack.worlds._shared_worlds(model, scope)
+    a = ontounpack.worlds._worlds(model, scope)
+    b = ontounpack.worlds._worlds(model, scope)
     head = [next(a) for _ in range(5)]
-    all_b = list(b)  # reads a's prefix, then pulls the rest
-    rest_a = list(a)  # reads the rest from the prefix b pulled
+    all_b = list(b)
+    rest_a = list(a)
     assert head + rest_a == all_b == enumerate_worlds(parse_ok(SEVERITY), scope)
     assert len(all_b) == 45
 
@@ -658,7 +662,7 @@ def _fail_on_two_individuals(monkeypatch):
     monkeypatch.setattr(ontounpack.worlds, "_canonicalize", failing)
 
 
-def test_a_stream_that_fails_midway_is_not_kept(monkeypatch):
+def test_a_walk_that_fails_midway_leaves_nothing_behind(monkeypatch):
     model = parse_ok(TOY)
     scope = unlimited(Person=3)
     _fail_on_two_individuals(monkeypatch)
@@ -668,16 +672,19 @@ def test_a_stream_that_fails_midway_is_not_kept(monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             enumerate_worlds(model, scope)
     with pytest.raises(RuntimeError, match="boom"):
-        find_witness(model, scope, Goal(typings=(("x", "Sad"),)))  # no witness: scans all
+        # a Person with a link TOY has no relation for: the search reaches every vector
+        find_witness(model, scope, Goal(typings=(("x", "Person"),), links=(("likes", "x", "x"),)))
+    # a goal on an undeclared name needs an individual of no base: no vector is generated
+    assert find_witness(model, scope, Goal(typings=(("x", "Sad"),))) is None
     monkeypatch.undo()
     assert len(enumerate_worlds(model, scope)) == 10
 
 
-def test_a_live_iteration_raises_when_its_stream_fails(monkeypatch):
+def test_a_live_walk_raises_when_it_fails(monkeypatch):
     model = parse_ok(TOY)
     scope = unlimited(Person=3)
-    a = ontounpack.worlds._shared_worlds(model, scope)
-    b = ontounpack.worlds._shared_worlds(model, scope)
+    a = ontounpack.worlds._worlds(model, scope)
+    b = ontounpack.worlds._worlds(model, scope)
     assert len([next(a) for _ in range(3)]) == 3
     _fail_on_two_individuals(monkeypatch)
     with pytest.raises(RuntimeError, match="boom"):
@@ -697,7 +704,7 @@ def test_scope_values_are_checked_before_the_first_world():
         find_witness(m, scope, Goal(typings=(("x", "Person"),)))
 
 
-def test_interleaved_queries_match_queries_on_fresh_models():
+def test_queries_on_one_model_match_queries_on_fresh_models():
     scope = Scope(per_classifier={"Person": 2, "PathologicalCondition": 3},
                   quality_values={"Severity": (0, 1, 2)})
     two_conditions = Goal(
@@ -715,9 +722,9 @@ def test_interleaved_queries_match_queries_on_fresh_models():
         lambda m: find_witness(m, scope, Goal(typings=(("p", "Person"),))),
     ]
     model = parse_ok(SEVERITY)
-    shared = [ask(model) for ask in asks]
-    assert shared == [ask(parse_ok(SEVERITY)) for ask in asks]
-    assert [len(w.individuals) for w in (shared[0], shared[3], shared[6])] == [2, 2, 1]
+    answers = [ask(model) for ask in asks]
+    assert answers == [ask(parse_ok(SEVERITY)) for ask in asks]
+    assert [len(w.individuals) for w in (answers[0], answers[3], answers[6])] == [2, 2, 1]
 
 
 def test_metaproperties_report_only_what_was_asked():
@@ -736,8 +743,9 @@ def test_metaproperties_report_only_what_was_asked():
 
 
 def test_a_metaproperty_check_stops_at_its_last_counterexample(canonicalizations):
-    # it generates exactly the worlds up to its last counterexample's count
-    # vector; lax transitivity is read off the quality's order, never searched
+    # it generates at most the worlds up to its last counterexample's count
+    # vector, and skips the vectors with no condition; lax transitivity is
+    # read off the quality's order, never searched
     per = {"Person": 2, "Organization": 1, "Treatment": 2, "PathologicalCondition": 1}
     scope = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
                   world_limit=10**9)
@@ -753,7 +761,7 @@ def test_a_metaproperty_check_stops_at_its_last_counterexample(canonicalizations
         upto = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)},
                      world_limit=last + 1)
         enumerate_worlds(load_fixture("healthcare_relator.onto"), upto)
-        assert check_cost == len(canonicalizations) < full_cost
+        assert check_cost <= len(canonicalizations) < full_cost
     assert (rep.irreflexive, rep.asymmetric, rep.transitive) == (False, False, True)
     assert rep.entailed == ("transitive",)
 
@@ -787,7 +795,7 @@ def test_a_check_that_generates_no_world_still_refuses():
     assert [d.rule_id for d in exc.value.diagnostics] == ["R9", "R9"]
 
 
-def test_a_failed_stream_resumes_at_the_vector_that_failed(monkeypatch):
+def test_a_query_after_a_failed_walk_starts_over(monkeypatch):
     model = parse_ok(TOY)
     scope = unlimited(Person=3)
     _fail_on_two_individuals(monkeypatch)
@@ -803,7 +811,7 @@ def test_a_failed_stream_resumes_at_the_vector_that_failed(monkeypatch):
 
     monkeypatch.setattr(ontounpack.worlds, "_canonicalize", recording)
     assert len(enumerate_worlds(model, scope)) == 10
-    assert sizes and min(sizes) == 2  # the worlds of up to one individual are kept
+    assert sorted(sizes) == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]  # every world, from the empty one
 
 
 # --- one _Prep per model --------------------------------------------------------
@@ -827,3 +835,82 @@ def test_two_scopes_of_one_model_build_one_prep(preps):
     assert preps == [model]
     taxonomy = {"_ancestor_map", "_descendant_map", "_relation_ends"}
     assert set(model.__dict__) - set(parse_ok(SEVERITY).__dict__) - taxonomy == {"_world_prep"}
+
+
+# --- each query walks its own stream ------------------------------------------
+
+
+def test_a_deleted_world_list_is_freed_while_its_model_lives():
+    # no query keeps worlds after it returns, so no collection is needed
+    model = load_fixture("healthcare_relator.onto")
+    gc.disable()
+    try:
+        worlds = enumerate_worlds(model, Scope(default_count=1))
+        last = weakref.ref(worlds[-1])
+        del worlds
+        assert last() is None
+    finally:
+        gc.enable()
+
+
+def test_a_pure_base_capped_at_zero_gets_no_options(monkeypatch):
+    bases = Counter()
+    real = ontounpack.worlds._pure_options
+
+    def counting(stream, base, targets):
+        bases[base] += 1
+        return real(stream, base, targets)
+
+    monkeypatch.setattr(ontounpack.worlds, "_pure_options", counting)
+    per = dict(RELATOR_P3O3T3PC1, PathologicalCondition=0)
+    assert len(enumerate_worlds(load_fixture("healthcare_relator.onto"), unlimited(**per))) == 580
+    assert bases["PathologicalCondition"] == 0 and bases["Treatment"] > 0
+
+
+# small scopes of models with roles, events, modes and comparatives
+SKIP_CASES = {
+    "relator": ("healthcare_relator.onto",
+                {"Person": 2, "Organization": 2, "Treatment": 2, "PathologicalCondition": 2}),
+    "event": ("healthcare_event.onto", {"Person": 2, "Organization": 1, "Treatment": 2}),
+    "clinic": (CLINIC, {"Person": 2, "Organization": 1, "Treatment": 2, "Consultation": 1,
+                        "PathologicalCondition": 1}),
+    "severity": (SEVERITY, {"Person": 2, "PathologicalCondition": 3}),
+    "marriage": (MARRIAGE, {"Person": 4, "Marriage": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_skipped_count_vectors_hold_no_first_answer(case):
+    # each answer is the reference's: the first hit in the full world list
+    text, per = SKIP_CASES[case]
+    model = load_fixture(text) if text.endswith(".onto") else parse_ok(text)
+    values = {"Severity": (3, 50)} if "Severity" in model.classifiers else {}
+    scope = Scope(per_classifier=per, quality_values=values, world_limit=10**9)
+    full = enumerate_worlds(model, scope)
+    names = sorted(model.classifiers)
+    goals = [Goal(typings=(("x", c),)) for c in [*names, "Undeclared"]]
+    for a, b in combinations(names, 2):
+        goals += [Goal(typings=(("x", a), ("x", b))), Goal(typings=(("x", a), ("y", b)))]
+    relations = sorted(model.relations.values(), key=lambda r: r.name)
+    goals += [
+        Goal(typings=(("x", r.source), ("y", r.target)), links=((r.name, "x", "y"),))
+        for r in relations if r.stereotype is not RelationStereotype.COMPARATIVE
+    ]
+    for goal in goals:
+        expected = next((w for w in full if goal_holds(w, goal)), None)
+        assert find_witness(model, scope, goal) == expected, goal
+    for r in relations:
+        if r.stereotype in (RelationStereotype.COMPARATIVE, RelationStereotype.INTERNAL):
+            for strict in (True, False):
+                report = check_metaproperties(model, r.name, scope, strict=strict)
+                counter = {}
+                for w in full:
+                    pairs = (eval_comparative(w, model, r.name, strict=strict)
+                             if r.stereotype is RelationStereotype.COMPARATIVE
+                             else {(s, t) for n, s, t in w.links if n == r.name})
+                    for prop in ("irreflexive", "asymmetric", "transitive"):
+                        ids = ontounpack.worlds._counterexample(prop, pairs)
+                        if ids is not None and prop not in counter:
+                            counter[prop] = (w, ids)
+                expected = [(prop, *counter[prop]) for prop in sorted(counter)]
+                assert list(report.counterexamples) == expected, (r.name, strict)
