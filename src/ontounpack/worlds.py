@@ -55,7 +55,21 @@ classes within color classes: twins are tied individuals with the same
 outgoing and incoming (relation, neighbour) pairs, so swapping two maps the
 links onto themselves and only the sequence of their classes can change the
 rows (twin collapse; McKay & Piperno, "Practical graph isomorphism II",
-2014).
+2014). Only the link rows that touch an individual of a tie with more than
+one order are compared between arrangements: the other rows are the same in
+every arrangement, and adding the same rows to two multisets of one size
+keeps their sorted order, so the first least arrangement is the one the
+full rows would pick. The full rows are built once, for the winner.
+
+The symmetry test and the relabeling work on tables that the stream's
+worlds share. Per swap and per option list, a frame's _Symmetry builds on
+first use the position of each option's image, so a pure multiset is
+mapped through its table and sorted, and the first base whose image
+differs decides. Canonicalizations read the repr of each colour and the
+sorted row of each type set from the stream's _Texts. Every table is the
+stream's and goes with its walk, not the process's: False == 0 and the two
+hash alike while their reprs differ, and only a scope fixes the type of a
+quality's values.
 """
 from __future__ import annotations
 
@@ -63,6 +77,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import (
+    chain,
     combinations,
     combinations_with_replacement,
     groupby,
@@ -498,8 +513,9 @@ class _Stream:
     What depends only on the open individuals' profiles is built once per
     open-profile assignment, as a _Frame in `frames`, and serves every count
     vector that draws that assignment; per-bearer value options are
-    memoized in `value_options`. _worlds makes one stream per query and only
-    its walk holds it, so these tables are freed with the walk.
+    memoized in `value_options`, and the texts canonicalization sorts by in
+    `texts`. _worlds makes one stream per query and only its walk holds it,
+    so these tables are freed with the walk.
     """
 
     def __init__(self, prep: _Prep, scope: Scope):
@@ -529,6 +545,7 @@ class _Stream:
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.value_options: dict[frozenset[str], list[tuple]] = {}
         self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
+        self.texts = _Texts()
 
     def walk(self, needs) -> Iterator[InstanceWorld]:
         """The worlds in stream order, but for each count vector that leaves a `needs` group empty.
@@ -618,7 +635,7 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                     value_map = dict(values)
                     for (ind, _), combo in zip(individuals, open_values):
                         value_map.update({(q, ind): v for q, v in combo})
-                    yield _canonicalize(inds, types, all_links, value_map)
+                    yield _canonicalize(inds, types, all_links, value_map, stream.texts)
 
 
 class _Frame:
@@ -670,42 +687,45 @@ class _Frame:
 class _Symmetry:
     """Swaps of adjacent interchangeable open individuals, acting on candidate encodings.
 
-    Images are found on demand and memoized, as a query that stops early visits few.
+    Per swap and per option list (an open individual's link choices or a
+    pure base's options), a table gives the position of each option's image.
+    It is built on first use, as a query that stops early visits few lists,
+    and lives on the frame, which the stream's walk frees by reference count.
     """
 
     def __init__(self, swaps: list[tuple[int, str, str]], open_links, pure_options):
         self.lists = [*open_links, *pure_options]
         self.opens = len(open_links)
         self.index: dict[int, dict] = {}  # per list: key -> position
-        # per swap: (position of the first individual, relabelling, memo)
-        self.swaps = [(at, {a: b, b: a}, {}) for at, a, b in swaps]
+        # per swap: (position of the first individual, relabelling, per list its table)
+        self.swaps = [(at, {a: b, b: a}, [None] * len(self.lists)) for at, a, b in swaps]
 
     def _key(self, n: int, item, relabel: dict[str, str]) -> tuple:
         profile, links, values = (None, item, None) if n < self.opens else item
         return profile, frozenset((r, relabel.get(t, t)) for r, t in links), values
 
-    def _image(self, swap, n: int, i: int) -> int:
-        """Position in list n of the image of its item i."""
-        _, relabel, memo = swap
-        j = memo.get((n, i))
-        if j is None:
-            items = self.lists[n]
-            if n not in self.index:
-                self.index[n] = {self._key(n, item, {}): k for k, item in enumerate(items)}
-            j = memo[n, i] = self.index[n][self._key(n, items[i], relabel)]
-        return j
+    def _table(self, swap, n: int) -> list[int]:
+        """Build list n's table under `swap`: per position, the position of its item's image."""
+        _, relabel, tables = swap
+        items = self.lists[n]
+        index = self.index.get(n)
+        if index is None:
+            index = self.index[n] = {self._key(n, item, {}): k for k, item in enumerate(items)}
+        table = tables[n] = [index[self._key(n, item, relabel)] for item in items]
+        return table
 
     def open_ties(self, combo: tuple) -> list | None:
         """None if a swap makes the open part smaller, else the swaps that keep it equal."""
         ties = []
         for swap in self.swaps:
-            at = swap[0]
+            at, _, tables = swap
             for k, i in enumerate(combo):
                 source = combo[at + 1] if k == at else combo[at] if k == at + 1 else i
-                j = self._image(swap, k, source)  # lists at and at + 1 are one list
+                # lists at and at + 1 are one list
+                j = (tables[k] or self._table(swap, k))[source]
+                if j < i:
+                    return None
                 if j != i:
-                    if j < i:
-                        return None
                     break
             else:
                 ties.append(swap)
@@ -715,14 +735,19 @@ class _Symmetry:
         """Whether a swap that keeps the open part equal makes the pure part smaller.
 
         `pure_combo` holds a multiset per pure base with individuals, and
-        `pure_at` those bases' positions among all of them, so the memoized
-        images of one frame serve every count vector.
+        `pure_at` those bases' positions among all of them, so the tables of
+        one frame serve every count vector. The first base whose image
+        differs decides, as in a comparison of the tuples of all images.
         """
-        image = tuple(
-            tuple(sorted(self._image(swap, self.opens + n, i) for i in combo))
-            for n, combo in zip(pure_at, pure_combo)
-        )
-        return image < pure_combo
+        tables = swap[2]
+        for n, combo in zip(pure_at, pure_combo):
+            n += self.opens
+            image = tuple(sorted(map((tables[n] or self._table(swap, n)).__getitem__, combo)))
+            if image < combo:
+                return True
+            if image != combo:
+                return False
+        return False
 
 
 class _Bounds:
@@ -940,7 +965,21 @@ def _assemble(stream: _Stream, individuals, profile_of, links):
 # canonicalization
 # --------------------------------------------------------------------------
 
-def _canonicalize(individuals, types, links, values):
+class _Texts(dict):
+    """A stream's texts: each colour's repr and each type set's sorted row, made on first use.
+
+    Canonicalizations sort colours by their repr; one stream's colours and
+    type sets repeat across its worlds, so each text is made once. The
+    table is per stream, not per process: False == 0 and both hash alike,
+    yet their reprs differ, and only a scope fixes each quality's value type.
+    """
+
+    def __missing__(self, key):
+        text = self[key] = tuple(sorted(key)) if isinstance(key, frozenset) else repr(key)
+        return text
+
+
+def _canonicalize(individuals, types, links, values, text: _Texts):
     """Rows of the world, relabelled per base to the least encoding: its canonical key."""
     out_links: dict[str, list[tuple[str, str, str]]] = {}
     in_links: dict[str, list[tuple[str, str, str]]] = {}
@@ -955,11 +994,11 @@ def _canonicalize(individuals, types, links, values):
     for ind, base in individuals:
         color[ind] = (
             base,
-            tuple(sorted(types[ind])),
+            text[types[ind]],
             tuple(sorted(value_of.get(ind, ()), key=repr)),
         )
     for _ in range(2):
-        ranks = {c: i for i, c in enumerate(sorted(set(color.values()), key=repr))}
+        ranks = {c: i for i, c in enumerate(sorted(set(color.values()), key=text.__getitem__))}
         new_color = {}
         for ind, _base in individuals:
             new_color[ind] = (
@@ -971,44 +1010,59 @@ def _canonicalize(individuals, types, links, values):
 
     # sort per base by final color and give fresh ids in that order: only
     # orders within a tie (same base and color) remain
-    ranked = sorted(individuals, key=lambda ib: (ib[1], repr(color[ib[0]]), ib[0]))
+    ranked = sorted(individuals, key=lambda ib: (ib[1], text[color[ib[0]]], ib[0]))
     fresh = [
         (f"{base}_{i}", base)
         for base, members in groupby(ranked, key=itemgetter(1))
         for i, _ in enumerate(members)
     ]
-    ties: list[list] = []   # per tie: the orders worth trying
+    # a tie's first order is its ranked order, the only one of most ties
+    rename = {ind: new for (ind, _), (new, _) in zip(ranked, fresh)}
+    moving: list[list] = []   # per tie with more than one order: the orders worth trying
     for _, group in groupby(ranked, key=lambda ib: (ib[1], color[ib[0]])):
         tie = [ind for ind, _ in group]
-        if len(tie) == 1:   # most ties: nothing to order
-            ties.append([tie])
-            continue
-        # twins (same outgoing and incoming (relation, neighbour) pairs) give
-        # the same rows in either order: one order per sequence of classes
-        twin = [
-            (tuple(sorted((rel, t) for rel, _, t in out_links.get(ind, ()))),
-             tuple(sorted((rel, s) for rel, s, _ in in_links.get(ind, ()))))
-            for ind in tie
-        ]
-        ties.append(list(_twin_orders(tie, twin)))
-    # tied individuals share base, types and values (their colour), so only
-    # the link rows differ between arrangements
-    best = rename = None
-    for arrangement in product(*ties):
-        order = (ind for tie in arrangement for ind in tie)
-        candidate = {old: new for old, (new, _) in zip(order, fresh)}
-        rows = tuple(sorted((rel, candidate[s], candidate[t]) for rel, s, t in links))
-        if best is None or rows < best:
-            best, rename = rows, candidate
+        if len(tie) > 1:
+            # twins (same outgoing and incoming (relation, neighbour) pairs)
+            # give the same rows in either order: one order per sequence of classes
+            twin = [
+                (tuple(sorted((rel, t) for rel, _, t in out_links.get(ind, ()))),
+                 tuple(sorted((rel, s) for rel, s, _ in in_links.get(ind, ()))))
+                for ind in tie
+            ]
+            orders = list(_twin_orders(tie, twin))
+            if len(orders) > 1:
+                moving.append(orders)
+    if moving:
+        # tied individuals share base, types and values (their colour), so
+        # only link rows differ between arrangements, and only those that
+        # touch a moving individual: the rest are the same in every
+        # arrangement, and adding the same rows to two equal-size multisets
+        # keeps their sorted order, so the first least arrangement wins here
+        # as it would on the full rows
+        movers = {ind for orders in moving for ind in orders[0]}
+        moved = [link for link in links if link[1] in movers or link[2] in movers]
+        ids = [rename[ind] for orders in moving for ind in orders[0]]
+        best = None
+        for arrangement in product(*moving):
+            rename.update(zip(chain.from_iterable(arrangement), ids))
+            rows = _link_rows(moved, rename)
+            if best is None or rows < best:
+                best, winner = rows, arrangement
+        rename.update(zip(chain.from_iterable(winner), ids))
     return (
         tuple(sorted(fresh)),
-        tuple(sorted((rename[ind], tuple(sorted(types[ind]))) for ind, _ in individuals)),
-        best,
+        tuple(sorted((rename[ind], text[types[ind]]) for ind, _ in individuals)),
+        tuple(_link_rows(links, rename)),
         tuple(sorted(
             ((q, rename[b], v) for (q, b), v in values.items()),
             key=lambda row: (row[0], row[1], repr(row[2])),
         )),
     )
+
+
+def _link_rows(links, rename: dict[str, str]) -> list[tuple[str, str, str]]:
+    """The links relabelled by `rename`, sorted: one order tried, or the winner's full rows."""
+    return sorted((rel, rename[s], rename[t]) for rel, s, t in links)
 
 
 def _twin_orders(tie: list, twin: list) -> Iterator[list]:

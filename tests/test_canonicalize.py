@@ -7,6 +7,7 @@ included, for every candidate it canonicalizes.
 """
 from __future__ import annotations
 
+import hashlib
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
@@ -14,11 +15,12 @@ import pytest
 
 import ontounpack.worlds
 from ontounpack import Scope, enumerate_worlds
+from ontounpack.jsonio import dumps_indented
 from ontounpack.worlds import _twin_orders
 
 from conftest import load_fixture, parse_ok
 from test_oracle import SUCCESSOR
-from test_worlds import MARRIAGE, SEVERITY
+from test_worlds import CLINIC, MARRIAGE, SEVERITY
 
 
 def reference_canonicalize(individuals, types, links, values):
@@ -87,8 +89,9 @@ def reference_canonicalize(individuals, types, links, values):
 def assert_keys_are_the_references(calls) -> None:
     assert calls
     for args, key in calls:
+        # the world's four arguments; the fifth is its stream's texts table.
         # repr, not ==: a key must keep its values' types (1 == True == 1.0)
-        assert repr(key) == repr(reference_canonicalize(*args)), args
+        assert repr(key) == repr(reference_canonicalize(*args[:4])), args[:4]
 
 
 LIKES = "model Likes\n\nkind Person\ninternal likes : Person [0..*] -- [0..*] Person\n"
@@ -102,6 +105,18 @@ FLAGS = (
     "internal next : Person [0..1] -- [0..1] Person\n"
 )
 
+# a bool-valued and an int-valued quality on the same Persons: False == 0 and
+# True == 1 hash alike, so one stream's texts table holds colours of both
+FLAGS_AND_LEVELS = (
+    "model FlagsAndLevels\n\n"
+    "kind Person\n"
+    "quality Flag\n"
+    "quality Level\n"
+    "characterization hasFlag : Flag [0..1] -- [1..1] Person\n"
+    "characterization hasLevel : Level [0..1] -- [1..1] Person\n"
+    "internal next : Person [0..1] -- [0..1] Person\n"
+)
+
 # name -> (model, per-classifier counts, scope values, candidates canonicalized)
 CASES = {
     "relator": ("healthcare_relator.onto",
@@ -112,6 +127,8 @@ CASES = {
     # a digraph of one colour: ties hold individuals that link to each other
     "likes": (LIKES, {"Person": 4}, {}, 5866),
     "successor": (SUCCESSOR, {"Person": 6}, {}, None),
+    "flags_and_levels": (FLAGS_AND_LEVELS, {"Person": 3},
+                         {"Flag": (False, True), "Level": (0, 1)}, None),
 }
 
 
@@ -160,25 +177,48 @@ TWIN_CONDITIONS = (
 def test_twin_conditions_cost_one_order_per_canonicalization(canonicalizations, monkeypatch):
     # each world is a Person with k conditions of one value, all twins; every
     # permutation of them made 5,915 orders (the sum of k! for k <= 7, plus
-    # the empty world) for 9 canonicalizations
+    # the empty world) for 9 canonicalizations. Every canonicalization builds
+    # the rows of each order it tries, and of its winner, with _link_rows: a
+    # search of m orders costs m + 1, a tie with one order costs 1
     worlds = ontounpack.worlds
-    counted_canonicalize, real_product = worlds._canonicalize, worlds.product
+    real_link_rows = worlds._link_rows
     orders = []
 
-    def counting_product(*ties):
-        for arrangement in real_product(*ties):
-            orders.append(arrangement)
-            yield arrangement
+    def counting_link_rows(links, rename):
+        orders.append(links)
+        return real_link_rows(links, rename)
 
-    def canonicalize(*args):
-        worlds.product = counting_product
-        try:
-            return counted_canonicalize(*args)
-        finally:
-            worlds.product = real_product
-
-    monkeypatch.setattr(worlds, "_canonicalize", canonicalize)
+    monkeypatch.setattr(worlds, "_link_rows", counting_link_rows)
     scope = Scope(per_classifier={"Person": 1, "PathologicalCondition": 7},
                   quality_values={"Severity": (5,)}, world_limit=10**9)
     assert len(enumerate_worlds(parse_ok(TWIN_CONDITIONS), scope)) == 9
     assert len(canonicalizations) == len(orders) == 9
+
+
+# name -> (model, per-classifier counts, worlds, sha256 of the `simulate
+# --format json` document of every world with Severity={3,50,97}). The keys
+# fix each world's labels and rows and the order within a count vector: a
+# new canonical form must change these digests on purpose, as a change of
+# the output contract
+GOLDEN = {
+    "relator": ("healthcare_relator.onto",
+                {"Person": 2, "Organization": 2, "Treatment": 2, "PathologicalCondition": 1},
+                188, "3e6aa715b4fdcdeeb098b29e48c813748d0c4ad79958ddf5a2ee96f0a3653703"),
+    "clinic": (CLINIC,
+               {"Person": 2, "Organization": 0, "Treatment": 1, "Consultation": 1,
+                "PathologicalCondition": 1},
+               41, "f4d04cf803dce9f804bfaabddc20ee7e614ca3056b64061a9547759924bc1c4b"),
+    "severity": (SEVERITY, {"Person": 2, "PathologicalCondition": 3},
+                 45, "98e1bcfb50efc0b302dff5a3b6ffdd170f9aa96d32f326337865af0c77a0014f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_canonical_output_keeps_its_recorded_digest(case):
+    text, per, count, digest = GOLDEN[case]
+    model = load_fixture(text) if text.endswith(".onto") else parse_ok(text)
+    scope = Scope(per_classifier=per, quality_values={"Severity": (3, 50, 97)}, world_limit=10**9)
+    worlds = enumerate_worlds(model, scope)
+    document = dumps_indented([w.to_dict() for w in worlds]) + "\n"
+    assert len(worlds) == count
+    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == digest

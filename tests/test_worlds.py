@@ -840,8 +840,24 @@ def test_two_scopes_of_one_model_build_one_prep(preps):
 # --- each query walks its own stream ------------------------------------------
 
 
-def test_a_deleted_world_list_is_freed_while_its_model_lives():
-    # no query keeps worlds after it returns, so no collection is needed
+def test_a_deleted_world_list_is_freed_while_its_model_lives(monkeypatch):
+    # no query keeps worlds or its stream's tables (the texts of its
+    # canonicalizations, its frames' symmetry tables) after it returns, and
+    # none sits in a reference cycle, so no collection is needed
+    worlds_module = ontounpack.worlds
+    stream_init, symmetry_init = worlds_module._Stream.__init__, worlds_module._Symmetry.__init__
+    tables = []
+
+    def watched_stream(self, *args):
+        stream_init(self, *args)
+        tables.extend((weakref.ref(self), weakref.ref(self.texts)))
+
+    def watched_symmetry(self, *args):
+        symmetry_init(self, *args)
+        tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(worlds_module._Stream, "__init__", watched_stream)
+    monkeypatch.setattr(worlds_module._Symmetry, "__init__", watched_symmetry)
     model = load_fixture("healthcare_relator.onto")
     gc.disable()
     try:
@@ -849,6 +865,9 @@ def test_a_deleted_world_list_is_freed_while_its_model_lives():
         last = weakref.ref(worlds[-1])
         del worlds
         assert last() is None
+        scope = unlimited(Person=2, Organization=2, Treatment=2, PathologicalCondition=1)
+        assert len(enumerate_worlds(model, scope)) == 188
+        assert len(tables) > 4 and all(table() is None for table in tables)
     finally:
         gc.enable()
 
