@@ -55,21 +55,18 @@ classes within color classes: twins are tied individuals with the same
 outgoing and incoming (relation, neighbour) pairs, so swapping two maps the
 links onto themselves and only the sequence of their classes can change the
 rows (twin collapse; McKay & Piperno, "Practical graph isomorphism II",
-2014). Only the link rows that touch an individual of a tie with more than
-one order are compared between arrangements: the other rows are the same in
-every arrangement, and adding the same rows to two multisets of one size
-keeps their sorted order, so the first least arrangement is the one the
-full rows would pick. The full rows are built once, for the winner.
+2014). The first arrangement with the least link rows wins, and its rows
+are the key's.
 
 The symmetry test and the relabeling work on tables that the stream's
-worlds share. Per swap and per option list, a frame's _Symmetry builds on
-first use the position of each option's image, so a pure multiset is
-mapped through its table and sorted, and the first base whose image
-differs decides. Canonicalizations read the repr of each colour and the
-sorted row of each type set from the stream's _Texts. Every table is the
-stream's and goes with its walk, not the process's: False == 0 and the two
-hash alike while their reprs differ, and only a scope fixes the type of a
-quality's values.
+worlds share. A frame's _Symmetry holds, per swap and per distinct option
+list, the position of each option's image, so a pure multiset is mapped
+through its table and sorted, and the first base whose image differs
+decides. Canonicalizations read the repr of each colour and the sorted row
+of each type set from the stream's _Texts. Every table is the stream's and
+goes with its walk, not the process's: False == 0 and the two hash alike
+while their reprs differ, and only a scope fixes the type of a quality's
+values.
 """
 from __future__ import annotations
 
@@ -689,40 +686,32 @@ class _Symmetry:
 
     Per swap and per option list (an open individual's link choices or a
     pure base's options), a table gives the position of each option's image.
-    It is built on first use, as a query that stops early visits few lists,
-    and lives on the frame, which the stream's walk frees by reference count.
+    Every candidate within the bounds reads the open tables, so they are made
+    at once, one per distinct list (the open individuals of one type set share
+    one); a pure base's is made on first use. They live on the frame.
     """
 
     def __init__(self, swaps: list[tuple[int, str, str]], open_links, pure_options):
-        self.lists = [*open_links, *pure_options]
-        self.opens = len(open_links)
-        self.index: dict[int, dict] = {}  # per list: key -> position
-        # per swap: (position of the first individual, relabelling, per list its table)
-        self.swaps = [(at, {a: b, b: a}, [None] * len(self.lists)) for at, a, b in swaps]
-
-    def _key(self, n: int, item, relabel: dict[str, str]) -> tuple:
-        profile, links, values = (None, item, None) if n < self.opens else item
-        return profile, frozenset((r, relabel.get(t, t)) for r, t in links), values
-
-    def _table(self, swap, n: int) -> list[int]:
-        """Build list n's table under `swap`: per position, the position of its item's image."""
-        _, relabel, tables = swap
-        items = self.lists[n]
-        index = self.index.get(n)
-        if index is None:
-            index = self.index[n] = {self._key(n, item, {}): k for k, item in enumerate(items)}
-        table = tables[n] = [index[self._key(n, item, relabel)] for item in items]
-        return table
+        self.pure_options = pure_options
+        distinct = {id(links): links for links in open_links}
+        # per swap: (position of the first individual, relabelling, per open
+        # individual its table, per pure base its table once built)
+        self.swaps = []
+        for at, a, b in swaps:
+            relabel = {a: b, b: a}
+            table = {n: _images(links, relabel, False) for n, links in distinct.items()}
+            opens = [table[id(links)] for links in open_links]
+            self.swaps.append((at, relabel, opens, [None] * len(pure_options)))
 
     def open_ties(self, combo: tuple) -> list | None:
         """None if a swap makes the open part smaller, else the swaps that keep it equal."""
         ties = []
         for swap in self.swaps:
-            at, _, tables = swap
+            at, _, tables, _ = swap
             for k, i in enumerate(combo):
                 source = combo[at + 1] if k == at else combo[at] if k == at + 1 else i
                 # lists at and at + 1 are one list
-                j = (tables[k] or self._table(swap, k))[source]
+                j = tables[k][source]
                 if j < i:
                     return None
                 if j != i:
@@ -739,15 +728,28 @@ class _Symmetry:
         one frame serve every count vector. The first base whose image
         differs decides, as in a comparison of the tuples of all images.
         """
-        tables = swap[2]
+        _, relabel, _, tables = swap
         for n, combo in zip(pure_at, pure_combo):
-            n += self.opens
-            image = tuple(sorted(map((tables[n] or self._table(swap, n)).__getitem__, combo)))
+            table = tables[n] = tables[n] or _images(self.pure_options[n], relabel, True)
+            image = tuple(sorted(map(table.__getitem__, combo)))
             if image < combo:
                 return True
             if image != combo:
                 return False
         return False
+
+
+def _images(options: list, relabel: dict[str, str], pure: bool) -> list[int]:
+    """Per option, the position of its image under `relabel` among `options`.
+
+    A pure base's options are (profile, links, values), an open individual's its links.
+    """
+    def key(option, relabel):
+        profile, links, values = option if pure else (None, option, None)
+        return profile, frozenset((r, relabel.get(t, t)) for r, t in links), values
+
+    position = {key(option, {}): k for k, option in enumerate(options)}
+    return [position[key(option, relabel)] for option in options]
 
 
 class _Bounds:
@@ -1034,25 +1036,21 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
                 moving.append(orders)
     if moving:
         # tied individuals share base, types and values (their colour), so
-        # only link rows differ between arrangements, and only those that
-        # touch a moving individual: the rest are the same in every
-        # arrangement, and adding the same rows to two equal-size multisets
-        # keeps their sorted order, so the first least arrangement wins here
-        # as it would on the full rows
-        movers = {ind for orders in moving for ind in orders[0]}
-        moved = [link for link in links if link[1] in movers or link[2] in movers]
+        # only link rows differ between arrangements
         ids = [rename[ind] for orders in moving for ind in orders[0]]
         best = None
         for arrangement in product(*moving):
             rename.update(zip(chain.from_iterable(arrangement), ids))
-            rows = _link_rows(moved, rename)
+            rows = _link_rows(links, rename)
             if best is None or rows < best:
                 best, winner = rows, arrangement
         rename.update(zip(chain.from_iterable(winner), ids))
+    else:
+        best = _link_rows(links, rename)
     return (
         tuple(sorted(fresh)),
         tuple(sorted((rename[ind], text[types[ind]]) for ind, _ in individuals)),
-        tuple(_link_rows(links, rename)),
+        tuple(best),
         tuple(sorted(
             ((q, rename[b], v) for (q, b), v in values.items()),
             key=lambda row: (row[0], row[1], repr(row[2])),
@@ -1061,7 +1059,7 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
 
 
 def _link_rows(links, rename: dict[str, str]) -> list[tuple[str, str, str]]:
-    """The links relabelled by `rename`, sorted: one order tried, or the winner's full rows."""
+    """The links relabelled by `rename`, sorted."""
     return sorted((rel, rename[s], rename[t]) for rel, s, t in links)
 
 
@@ -1261,9 +1259,10 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
                     f"{n} individuals of base '{base}' exceed the scope "
                     f"({scope.count_for_base(base)})"
                 )
+        # a base's cap is its count, checked above
         for name, cap in scope.per_classifier:
             n = sum(1 for i in ids if name in world.types[i])
-            if n > cap:
+            if name not in prep.family and n > cap:
                 problems.append(f"{n} instances of '{name}' exceed the scope cap ({cap})")
 
     return problems

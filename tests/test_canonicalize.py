@@ -178,8 +178,8 @@ def test_twin_conditions_cost_one_order_per_canonicalization(canonicalizations, 
     # each world is a Person with k conditions of one value, all twins; every
     # permutation of them made 5,915 orders (the sum of k! for k <= 7, plus
     # the empty world) for 9 canonicalizations. Every canonicalization builds
-    # the rows of each order it tries, and of its winner, with _link_rows: a
-    # search of m orders costs m + 1, a tie with one order costs 1
+    # the rows of each order it tries with _link_rows, and keeps the winner's:
+    # a search of m orders costs m, a tie with one order costs 1
     worlds = ontounpack.worlds
     real_link_rows = worlds._link_rows
     orders = []

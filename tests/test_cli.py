@@ -170,6 +170,14 @@ def test_derive_cards_json(capsys):
     assert doc["perTuple"]["text"] == "[1..*]"
 
 
+def test_derive_cards_text(capsys):
+    code, out, err = run(capsys, "derive-cards", RELATOR, "Treatment", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == (
+        "Treatment: endA Patient [1..*], endB HealthcareProvider [1..*], perTuple [1..*]\n"
+    )
+
+
 def test_derive_cards_rejects_non_relator(capsys):
     code, out, err = run(capsys, "derive-cards", RELATOR, "Person")
     assert code == 2
@@ -194,6 +202,24 @@ def test_simulate_respects_limit(capsys):
                          "--limit", "3")
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+def test_simulate_text_lists_types_links_and_values(capsys):
+    code, out, err = run(capsys, "simulate", RELATOR, "--scope-default", "1", "--format", "text")
+    assert (code, err) == (0, "")
+    worlds = out.split("world ")
+    assert len(worlds) == 29 and worlds[0] == ""
+    assert worlds[26] == (
+        "25\n"
+        "  Organization_0 : HealthcareProvider, Organization\n"
+        "  PathologicalCondition_0 : PathologicalCondition\n"
+        "  Person_0 : Patient, Person, UnhealthyPerson\n"
+        "  Treatment_0 : Treatment\n"
+        "  link involvesPatient Treatment_0 -> Person_0\n"
+        "  link involvesProvider Treatment_0 -> Organization_0\n"
+        "  link treatedBy Person_0 -> Organization_0\n"
+        "  value Severity(PathologicalCondition_0) = 0\n"
+    )
 
 
 def test_simulate_dot_output(capsys):
@@ -389,6 +415,16 @@ def test_lint_dot_witnesses(capsys):
         world_to_dot(model, w, name=f"witness_{i}") for i, w in enumerate(witnesses))
 
 
+def test_lint_text(capsys):
+    code, out, err = run(capsys, "lint", EVENT, "--format", "text",
+                         "--scope", "Person=2,Treatment=2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "AP1 Warning 7:7 one individual can fill both 'Patient' and 'HealthcareProvider' of "
+        "the same 'Treatment' (via participatesPatient and participatesProvider)\n"
+    )
+
+
 def test_lint_refuses_ill_formed_input(capsys):
     code, out, err = run(capsys, "lint", PLAIN)
     assert code == 1
@@ -417,6 +453,15 @@ def test_diff_explicit_pairs(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["verdict"] == "IdentityCandidate"
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("Person=Person,Treatment", "bad --pairs entry 'Treatment' (expected Left=Right)"),
+    ("Person=Ghost", "'Ghost' is not declared in model 'HealthcareEvent'"),
+], ids=["malformed", "unknown"])
+def test_diff_refuses_bad_pairs_with_exit_2(capsys, pairs, message):
+    code, out, err = run(capsys, "diff", RELATOR, EVENT, "--pairs", pairs)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_diff_refuses_ill_formed_side(capsys):
@@ -697,3 +742,11 @@ def test_simulate_exits_0_when_its_reader_stops_early():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_output_into_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "simulate", RELATOR, "--scope-default", "1", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()

@@ -82,6 +82,28 @@ def test_same_stereotype_different_surface_suggests_specialization():
     assert "Person" in out[0].rationale
 
 
+HEIGHT = (
+    "quality Height\nspace Height ordered 0..250\n"
+    "characterization hasHeight : Height [1..1] -- [1..1] Person\n"
+)
+MOOD = "mode Mood\ncharacterization feels : Mood [0..*] -- [1..1] Person\n"
+
+
+@pytest.mark.parametrize("left, right, direction", [
+    (HEIGHT, "", "'Person' (L) may specialize 'Person' (R)"),
+    (HEIGHT, MOOD, "neither surface contains the other; sibling subtypes of a "
+                   "common supertype remain possible"),
+], ids=["left_richer", "neither"])
+def test_specialization_candidates_name_their_direction(left, right, direction):
+    out = classify_pair(parse_ok("model L\n\nkind Person\n" + left), "Person",
+                        parse_ok("model R\n\nkind Person\n" + right), "Person")
+    assert [c.verdict for c in out] == [Verdict.SPECIALIZATION_CANDIDATE]
+    assert out[0].rationale == (
+        "declared surroundings differ, so identity would violate the "
+        f"indiscernibility of identicals; {direction}"
+    )
+
+
 def test_mode_vs_quality_share_aspect_top():
     left = parse_ok("model L\n\nmode Fear\n")
     right = parse_ok("model R\n\nquality Fear\nspace Fear ordered 0..10\n")

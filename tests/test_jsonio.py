@@ -411,3 +411,36 @@ def test_dumps_indented_is_json_dumps_sorted_and_indented(value):
 def test_dumps_indented_refuses_what_json_cannot_write():
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
         dumps_indented([{"a": {1}}])
+
+
+# in render_dsl's canonical form: a nominal space and two gensets, one with
+# each flag combination render_dsl spells
+GENSETS_AND_NOMINAL = (
+    "model Palette\n\n"
+    "phase Adult specializes Person\n"
+    "phase Child specializes Person\n"
+    "role Host specializes Person\n"
+    "mode Mood\n"
+    "kind Person\n"
+    "quality Tone\n"
+    "role Visitor specializes Person\n\n"
+    "space Tone nominal {calm, tense}\n\n"
+    "genset Age disjoint complete general Person specifics Child, Adult\n"
+    "genset Guests general Person specifics Visitor, Host\n\n"
+    "characterization feels : Mood [0..*] -- [1..1] Person\n"
+    "characterization hasTone : Tone [1..1] -- [1..1] Mood\n"
+)
+
+
+def test_gensets_and_nominal_spaces_round_trip_byte_for_byte():
+    model = parse_ok(GENSETS_AND_NOMINAL)
+    assert render_dsl(model) == GENSETS_AND_NOMINAL
+    data = emit_json(model)
+    doc = json.loads(data)
+    assert doc["qualitySpaces"] == [
+        {"owner": "Tone", "kind": "nominal", "labels": ["calm", "tense"]}
+    ]
+    back = load_json(data)
+    assert back == model
+    assert emit_json(back) == data
+    assert render_dsl(back) == GENSETS_AND_NOMINAL

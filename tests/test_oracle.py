@@ -138,6 +138,20 @@ CARE = (
     "mediation involvesDoctor : Treatment [1..*] -- [1..1] Doctor\n"
 )
 
+# both mediations reach any Person; the material relation holds only
+# between a Healthy and a Sick one
+SUBTYPE_ENDS = (
+    "model SubtypeEnds\n\n"
+    "kind Person\n"
+    "phase Healthy specializes Person\n"
+    "phase Sick specializes Person\n"
+    "genset Health disjoint complete general Person specifics Healthy, Sick\n"
+    "relator Treatment\n"
+    "mediation involvesPatient : Treatment [0..*] -- [1..1] Person\n"
+    "mediation involvesDoctor : Treatment [0..*] -- [1..1] Person\n"
+    "material treats : Healthy [0..*] -- [0..*] Sick derivedFrom Treatment [1..*]\n"
+)
+
 CASES = {
     "toy": (TOY, {"Person": 3}, {}),
     "severity": (SEVERITY, {"Person": 1, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
@@ -193,6 +207,18 @@ CASES = {
     "derivation_multiplicity": (
         CARE + "material treats : Doctor [0..*] -- [0..*] Patient derivedFrom Treatment [1..1]\n",
         {"Person": 2, "Treatment": 2}, {}),
+    # the refusals the bounds leave to _assemble: a mode characterizing a
+    # justified role, whose min counts only once the role is derived and
+    # whose link refuses a Person that is not a Patient; the ends of a
+    # material relation that allow one link each way; and material ends
+    # below the mediated type, which skip the mediated Persons they miss
+    "mode_on_justified_role": (
+        CARE + "mode Allergy\ncharacterization hasAllergy : Allergy [1..*] -- [1..1] Patient\n",
+        {"Person": 2, "Treatment": 1, "Allergy": 1}, {}),
+    "material_bounded_ends": (
+        CARE + "material treats : Doctor [0..1] -- [0..1] Patient derivedFrom Treatment [1..*]\n",
+        {"Person": 2, "Treatment": 2}, {}),
+    "material_subtype_ends": (SUBTYPE_ENDS, {"Person": 2, "Treatment": 1}, {}),
 }
 
 
