@@ -31,7 +31,7 @@ class NameClashError(UnpackError):
 
 
 class UnorderedSpaceError(UnpackError):
-    """A comparative needs an ordered quality space but got a nominal one."""
+    """A comparative needs an ordered quality space, 0 <= lo <= hi, but got another."""
 
 
 class NotBinaryRelatorError(UnpackError):

@@ -156,6 +156,18 @@ def unpack_comparative(
             f"'{relation}' is already derived from '{rel.derived_from.relator}'"
         )
 
+    if space.is_ordered:
+        lo, hi = space.ordered
+        # the DSL spells no sign and refuses an inverted range, so such a
+        # space could not be read back; it is refused even where an existing
+        # quality keeps its own
+        if lo < 0:
+            raise UnorderedSpaceError(f"space bound must be >= 0, got {lo}")
+        if hi < lo:
+            raise UnorderedSpaceError(
+                f"ordered space of '{quality_name}': upper bound {hi} is below lower bound {lo}"
+            )
+
     new_classifiers: list[Classifier] = []
     new_spaces: list[QualitySpace] = []
     existing = model.classifiers.get(quality_name)

@@ -56,17 +56,17 @@ outgoing and incoming (relation, neighbour) pairs, so swapping two maps the
 links onto themselves and only the sequence of their classes can change the
 rows (twin collapse; McKay & Piperno, "Practical graph isomorphism II",
 2014). The first arrangement with the least link rows wins, and its rows
-are the key's.
+are the key's. Colours, type rows and value rows are ordered by their own
+values, so labels follow the values' order: a condition of severity 9 is
+labelled before one of severity 10. Every comparison is defined, since each
+(quality, bearer) pair has one value and a scope gives each quality's
+values one type.
 
-The symmetry test and the relabeling work on tables that the stream's
-worlds share. A frame's _Symmetry holds, per swap and per distinct option
-list, the position of each option's image, so a pure multiset is mapped
-through its table and sorted, and the first base whose image differs
-decides. Canonicalizations read the repr of each colour and the sorted row
-of each type set from the stream's _Texts. Every table is the stream's and
-goes with its walk, not the process's: False == 0 and the two hash alike
-while their reprs differ, and only a scope fixes the type of a quality's
-values.
+The symmetry test works on tables that the stream's worlds share. A frame's
+_Symmetry holds, per swap and per distinct option list, the position of
+each option's image, so a pure multiset is mapped through its table and
+sorted, and the first base whose image differs decides. Every table is the
+stream's and goes with its walk.
 """
 from __future__ import annotations
 
@@ -509,10 +509,9 @@ class _Stream:
 
     What depends only on the open individuals' profiles is built once per
     open-profile assignment, as a _Frame in `frames`, and serves every count
-    vector that draws that assignment; per-bearer value options are
-    memoized in `value_options`, and the texts canonicalization sorts by in
-    `texts`. _worlds makes one stream per query and only its walk holds it,
-    so these tables are freed with the walk.
+    vector that draws that assignment, and per-bearer value options are
+    memoized in `value_options`. _worlds makes one stream per query and only
+    its walk holds it, so these tables are freed with the walk.
     """
 
     def __init__(self, prep: _Prep, scope: Scope):
@@ -542,7 +541,6 @@ class _Stream:
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.value_options: dict[frozenset[str], list[tuple]] = {}
         self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
-        self.texts = _Texts()
 
     def walk(self, needs) -> Iterator[InstanceWorld]:
         """The worlds in stream order, but for each count vector that leaves a `needs` group empty.
@@ -632,7 +630,7 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
                     value_map = dict(values)
                     for (ind, _), combo in zip(individuals, open_values):
                         value_map.update({(q, ind): v for q, v in combo})
-                    yield _canonicalize(inds, types, all_links, value_map, stream.texts)
+                    yield _canonicalize(inds, types, all_links, value_map)
 
 
 class _Frame:
@@ -967,21 +965,7 @@ def _assemble(stream: _Stream, individuals, profile_of, links):
 # canonicalization
 # --------------------------------------------------------------------------
 
-class _Texts(dict):
-    """A stream's texts: each colour's repr and each type set's sorted row, made on first use.
-
-    Canonicalizations sort colours by their repr; one stream's colours and
-    type sets repeat across its worlds, so each text is made once. The
-    table is per stream, not per process: False == 0 and both hash alike,
-    yet their reprs differ, and only a scope fixes each quality's value type.
-    """
-
-    def __missing__(self, key):
-        text = self[key] = tuple(sorted(key)) if isinstance(key, frozenset) else repr(key)
-        return text
-
-
-def _canonicalize(individuals, types, links, values, text: _Texts):
+def _canonicalize(individuals, types, links, values):
     """Rows of the world, relabelled per base to the least encoding: its canonical key."""
     out_links: dict[str, list[tuple[str, str, str]]] = {}
     in_links: dict[str, list[tuple[str, str, str]]] = {}
@@ -992,15 +976,13 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
     for (q, b), v in values.items():
         value_of.setdefault(b, []).append((q, v))
 
-    color: dict[str, tuple] = {}
-    for ind, base in individuals:
-        color[ind] = (
-            base,
-            text[types[ind]],
-            tuple(sorted(value_of.get(ind, ()), key=repr)),
-        )
+    type_row = {ind: tuple(sorted(types[ind])) for ind, _ in individuals}
+    color = {
+        ind: (base, type_row[ind], tuple(sorted(value_of.get(ind, ()))))
+        for ind, base in individuals
+    }
     for _ in range(2):
-        ranks = {c: i for i, c in enumerate(sorted(set(color.values()), key=text.__getitem__))}
+        ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
         new_color = {}
         for ind, _base in individuals:
             new_color[ind] = (
@@ -1010,9 +992,10 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
             )
         color = new_color
 
-    # sort per base by final color and give fresh ids in that order: only
-    # orders within a tie (same base and color) remain
-    ranked = sorted(individuals, key=lambda ib: (ib[1], text[color[ib[0]]], ib[0]))
+    # ranks follow the first colours, which lead with the base, so the final
+    # colour alone orders and groups individuals per base: fresh ids go in
+    # that order, and only orders within a tie (same colour) remain
+    ranked = sorted(individuals, key=lambda ib: color[ib[0]])
     fresh = [
         (f"{base}_{i}", base)
         for base, members in groupby(ranked, key=itemgetter(1))
@@ -1021,7 +1004,7 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
     # a tie's first order is its ranked order, the only one of most ties
     rename = {ind: new for (ind, _), (new, _) in zip(ranked, fresh)}
     moving: list[list] = []   # per tie with more than one order: the orders worth trying
-    for _, group in groupby(ranked, key=lambda ib: (ib[1], color[ib[0]])):
+    for _, group in groupby(ranked, key=lambda ib: color[ib[0]]):
         tie = [ind for ind, _ in group]
         if len(tie) > 1:
             # twins (same outgoing and incoming (relation, neighbour) pairs)
@@ -1034,27 +1017,22 @@ def _canonicalize(individuals, types, links, values, text: _Texts):
             orders = list(_twin_orders(tie, twin))
             if len(orders) > 1:
                 moving.append(orders)
-    if moving:
-        # tied individuals share base, types and values (their colour), so
-        # only link rows differ between arrangements
-        ids = [rename[ind] for orders in moving for ind in orders[0]]
-        best = None
-        for arrangement in product(*moving):
-            rename.update(zip(chain.from_iterable(arrangement), ids))
-            rows = _link_rows(links, rename)
-            if best is None or rows < best:
-                best, winner = rows, arrangement
-        rename.update(zip(chain.from_iterable(winner), ids))
-    else:
-        best = _link_rows(links, rename)
+    # tied individuals share base, types and values (their colour), so only
+    # link rows differ between arrangements; with no tie to move, the one
+    # arrangement is the ranked order
+    ids = [rename[ind] for orders in moving for ind in orders[0]]
+    best = None
+    for arrangement in product(*moving):
+        rename.update(zip(chain.from_iterable(arrangement), ids))
+        rows = _link_rows(links, rename)
+        if best is None or rows < best:
+            best, winner = rows, arrangement
+    rename.update(zip(chain.from_iterable(winner), ids))
     return (
         tuple(sorted(fresh)),
-        tuple(sorted((rename[ind], text[types[ind]]) for ind, _ in individuals)),
+        tuple(sorted((rename[ind], type_row[ind]) for ind, _ in individuals)),
         tuple(best),
-        tuple(sorted(
-            ((q, rename[b], v) for (q, b), v in values.items()),
-            key=lambda row: (row[0], row[1], repr(row[2])),
-        )),
+        tuple(sorted((q, rename[b], v) for (q, b), v in values.items())),
     )
 
 

@@ -154,6 +154,35 @@ def test_unpack_comparative_form(capsys):
     assert "grounded" in err
 
 
+OLDER = "model M\n\nkind Person\nmaterial olderThan : Person [0..*] -- [0..*] Person\n"
+
+
+@pytest.mark.parametrize("space", ["-1..5", "3..1"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unpack_refuses_a_space_it_could_not_read_back(capsys, tmp_path, space, fmt):
+    src, dst = tmp_path / "older.onto", tmp_path / "out"
+    src.write_text(OLDER)
+    code, out, err = run(capsys, "unpack", str(src), "olderThan", "--quality", "Age",
+                         f"--space={space}", "--format", fmt, "-o", str(dst))
+    assert (code, out) == (2, "")
+    assert err.startswith("unpack failed: ")
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unpack_output_with_a_space_parses_back(capsys, tmp_path, fmt):
+    src, dst = tmp_path / "older.onto", tmp_path / f"out.{fmt}"
+    src.write_text(OLDER)
+    code, _, _ = run(capsys, "unpack", str(src), "olderThan", "--quality", "Age",
+                     "--space=0..5", "--format", fmt, "-o", str(dst))
+    assert code == 0
+    if fmt == "json":  # the document wraps the model with its plan
+        dst.write_text(json.dumps(json.loads(dst.read_text())["model"]))
+    code, out, err = run(capsys, "parse", str(dst), "--format", "text")
+    assert code == 0, err
+    assert "space Age ordered 0..5" in out
+
+
 # --- derive-cards ------------------------------------------------------------
 
 

@@ -224,6 +224,18 @@ def test_unpack_comparative_reuses_grounded_quality():
     assert check(apply_plan(m, plan)) == []
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((-1, 5), "space bound must be >= 0, got -1"),
+    ((3, 1), "upper bound 1 is below lower bound 3"),
+])
+@pytest.mark.parametrize("age", ["", "quality Age\nspace Age ordered 0..9\n"])
+def test_unpack_comparative_refuses_a_space_the_dsl_cannot_write(bounds, message, age):
+    m = parse_ok("model T\n\nkind Person\n" + age
+                 + "material olderThan : Person [0..*] -- [0..*] Person\n")
+    with pytest.raises(UnorderedSpaceError, match=message):
+        unpack_comparative(m, "olderThan", "Age", QualitySpace("Age", bounds), Direction.DESC)
+
+
 def test_unpack_comparative_error_paths(relator_model):
     nominal = QualitySpace(owner="Mood", labels=("good", "bad"))
     m = parse_ok("model T\n\nkind Person\nmaterial likes : Person [0..*] -- [0..*] Person\n")

@@ -841,16 +841,16 @@ def test_two_scopes_of_one_model_build_one_prep(preps):
 
 
 def test_a_deleted_world_list_is_freed_while_its_model_lives(monkeypatch):
-    # no query keeps worlds or its stream's tables (the texts of its
-    # canonicalizations, its frames' symmetry tables) after it returns, and
-    # none sits in a reference cycle, so no collection is needed
+    # no query keeps worlds or its stream's tables (the stream with its
+    # frames, its frames' symmetry tables) after it returns, and none sits
+    # in a reference cycle, so no collection is needed
     worlds_module = ontounpack.worlds
     stream_init, symmetry_init = worlds_module._Stream.__init__, worlds_module._Symmetry.__init__
     tables = []
 
     def watched_stream(self, *args):
         stream_init(self, *args)
-        tables.extend((weakref.ref(self), weakref.ref(self.texts)))
+        tables.append(weakref.ref(self))
 
     def watched_symmetry(self, *args):
         symmetry_init(self, *args)
