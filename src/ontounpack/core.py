@@ -166,9 +166,38 @@ class Classifier:
     span: SourceSpan = field(default=DEFAULT_SPAN, compare=False)
 
 
+def relation_shape_problems(
+    name: str, stereotype: RelationStereotype, source_mult: Multiplicity | None,
+    target_mult: Multiplicity | None, via: object, derived_from: object,
+) -> list[str]:
+    """Why a relation of this shape cannot be declared (empty when it can).
+
+    `via` and `derived_from` count only as present or None.
+    """
+    problems = []
+    if stereotype is RelationStereotype.COMPARATIVE:
+        if source_mult is not None or target_mult is not None:
+            problems.append(f"comparative '{name}' carries no multiplicities")
+        if via is None:
+            problems.append(f"comparative '{name}' needs a grounding ('via Quality asc|desc')")
+    else:
+        if source_mult is None or target_mult is None:
+            problems.append(f"relation '{name}' needs multiplicities on both ends")
+        if via is not None:
+            problems.append(f"only comparative relations take a 'via' grounding, not '{name}'")
+    if derived_from is not None and stereotype is not RelationStereotype.MATERIAL:
+        problems.append(f"only material relations take 'derivedFrom', not '{name}'")
+    return problems
+
+
 @dataclass(frozen=True)
 class RelationDecl:
-    """A declared relation. Comparatives carry no multiplicities."""
+    """A declared relation, of a shape both front doors accept.
+
+    A comparative has a `via` and no multiplicities, any other relation both
+    multiplicities and no `via`, and only a material relation may have a
+    `derived_from`. Any other shape raises ValueError.
+    """
 
     name: str
     stereotype: RelationStereotype
@@ -179,6 +208,12 @@ class RelationDecl:
     derived_from: Derivation | None = None
     via: ViaQuality | None = None
     span: SourceSpan = field(default=DEFAULT_SPAN, compare=False)
+
+    def __post_init__(self):
+        problems = relation_shape_problems(self.name, self.stereotype, self.source_mult,
+                                           self.target_mult, self.via, self.derived_from)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -444,6 +479,7 @@ __all__ = [
     "ViaQuality",
     "Classifier",
     "RelationDecl",
+    "relation_shape_problems",
     "QualitySpace",
     "GeneralizationSet",
     "Model",

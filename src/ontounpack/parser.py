@@ -34,6 +34,7 @@ from .core import (
     SourceSpan,
     Stereotype,
     ViaQuality,
+    relation_shape_problems,
 )
 
 CLASSIFIER_KEYWORDS = {s.value: s for s in Stereotype}
@@ -463,24 +464,9 @@ def _resolve(
         before = len(errors)
         known(rr.source, rr.name)
         known(rr.target, rr.name)
-        problems: list[str] = []
-        if rr.stereotype is RelationStereotype.COMPARATIVE:
-            if rr.source_mult is not None or rr.target_mult is not None:
-                problems.append(f"comparative '{rr.name}' carries no multiplicities")
-            if rr.via is None:
-                problems.append(
-                    f"comparative '{rr.name}' needs a grounding ('via Quality asc|desc')"
-                )
-        else:
-            if rr.source_mult is None or rr.target_mult is None:
-                problems.append(f"relation '{rr.name}' needs multiplicities on both ends")
-            if rr.via is not None:
-                problems.append(
-                    f"only comparative relations take a 'via' grounding, not '{rr.name}'"
-                )
-        if rr.derived is not None and rr.stereotype is not RelationStereotype.MATERIAL:
-            problems.append(f"only material relations take 'derivedFrom', not '{rr.name}'")
-        errors.extend(ParseError(rr.span, message) for message in problems)
+        errors.extend(ParseError(rr.span, message) for message in relation_shape_problems(
+            rr.name, rr.stereotype, rr.source_mult, rr.target_mult, rr.via, rr.derived,
+        ))
 
         allowed = _SOURCE_STEREOTYPES.get(rr.stereotype)
         if allowed is not None and len(errors) == before and stereo(rr.source[0]) not in allowed[0]:

@@ -158,7 +158,7 @@ def check(model: Model) -> list[Diagnostic]:
         if c.stereotype is not Stereotype.RELATOR:
             continue
         meds = model.mediations_of(c.name)
-        total = sum(m.target_mult.min for m in meds if m.target_mult is not None)
+        total = sum(m.target_mult.min for m in meds)
         if total < 2:
             out.append(Diagnostic(
                 "R5", err, c.span,
@@ -188,7 +188,7 @@ def check(model: Model) -> list[Diagnostic]:
     # R7: the derivedFrom relator's mediations must reach both material ends
     # (equal, ancestor, or descendant types are all acceptable anchorings).
     for r in model.relations.values():
-        if r.stereotype is not RelationStereotype.MATERIAL or r.derived_from is None:
+        if r.derived_from is None:
             continue
         relator = r.derived_from.relator
         rel_cls = classifiers.get(relator)
@@ -235,11 +235,6 @@ def check(model: Model) -> list[Diagnostic]:
     # R9: comparatives are grounded in an ordered quality characterizing both ends.
     for r in model.relations.values():
         if r.stereotype is not RelationStereotype.COMPARATIVE:
-            continue
-        if r.via is None:
-            out.append(Diagnostic(
-                "R9", err, r.span, f"comparative '{r.name}' has no viaQuality grounding",
-            ))
             continue
         q = r.via.quality
         qc = classifiers.get(q)

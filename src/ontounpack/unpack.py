@@ -136,10 +136,11 @@ def unpack_comparative(
 ) -> UnpackPlan:
     """Comparative-pattern rewrite: ground a comparison in an ordered quality.
 
-    Accepts an ungrounded comparative, or a material relation to reclassify.
-    Reuses `quality_name` when it already names an ordered quality; otherwise
-    introduces it with the given space plus a characterization anchored at the
-    ends' shared kind (or the mode the comparative is declared on).
+    Reclassifies a material relation as a comparative (a comparative is
+    always grounded already, so it is refused). Reuses `quality_name` when it
+    already names an ordered quality with the given space; otherwise
+    introduces it with the given space plus a characterization anchored at
+    the ends' shared kind (or at the end, when both ends are one classifier).
     """
     rel = model.relations.get(relation)
     if rel is None:
@@ -181,6 +182,10 @@ def unpack_comparative(
             raise UnorderedSpaceError(
                 f"existing quality '{quality_name}' has no ordered space"
             )
+        if space.ordered != declared.ordered:
+            lo, hi = declared.ordered
+            raise UnorderedSpaceError(f"existing quality '{quality_name}' has space "
+                                      f"ordered {lo}..{hi}, not the one given")
     else:
         if not space.is_ordered:
             raise UnorderedSpaceError(
@@ -206,11 +211,6 @@ def unpack_comparative(
             Multiplicity(1, 1), Multiplicity(1, 1),
         ))
 
-    reclassify = (
-        RelationStereotype.COMPARATIVE
-        if rel.stereotype is RelationStereotype.MATERIAL
-        else None
-    )
     return UnpackPlan(
         target_relation=relation,
         new_classifiers=tuple(new_classifiers),
@@ -218,7 +218,7 @@ def unpack_comparative(
         new_spaces=tuple(new_spaces),
         replaces=(relation,),
         set_via=ViaQuality(quality_name, Direction(direction)),
-        reclassify=reclassify,
+        reclassify=RelationStereotype.COMPARATIVE,
     )
 
 
@@ -239,24 +239,20 @@ def _characterization_target(model: Model, rel: RelationDecl) -> str:
 
 def apply_plan(model: Model, plan: UnpackPlan) -> Model:
     """Materialize a plan into a new model; the input model is untouched."""
-    replace_relations: tuple[RelationDecl, ...] = ()
+    # one replace: each step alone may give a shape RelationDecl refuses
+    changes: dict = {}
+    if plan.reclassify is not None:
+        changes["stereotype"] = plan.reclassify
+        if plan.reclassify is RelationStereotype.COMPARATIVE:
+            changes.update(source_mult=None, target_mult=None)
+    if plan.set_derivation is not None:
+        changes["derived_from"] = plan.set_derivation
+    if plan.set_ends is not None:
+        changes["source"], changes["target"] = plan.set_ends
+    if plan.set_via is not None:
+        changes["via"] = plan.set_via
     target = model.relations.get(plan.target_relation)
-    if target is not None and (
-        plan.set_derivation is not None or plan.set_ends is not None
-        or plan.set_via is not None or plan.reclassify is not None
-    ):
-        updated = target
-        if plan.reclassify is not None:
-            updated = replace(updated, stereotype=plan.reclassify)
-            if plan.reclassify is RelationStereotype.COMPARATIVE:
-                updated = replace(updated, source_mult=None, target_mult=None)
-        if plan.set_derivation is not None:
-            updated = replace(updated, derived_from=plan.set_derivation)
-        if plan.set_ends is not None:
-            updated = replace(updated, source=plan.set_ends[0], target=plan.set_ends[1])
-        if plan.set_via is not None:
-            updated = replace(updated, via=plan.set_via)
-        replace_relations = (updated,)
+    replace_relations = (replace(target, **changes),) if target is not None and changes else ()
     return with_declarations(
         model,
         classifiers=plan.new_classifiers,
@@ -296,7 +292,7 @@ def derive_material_cardinalities(
     derived relation only when at least one relator witnesses it, however
     optional each end's participation is.
 
-    with unbounded arithmetic (None is infinity). Returns (endA, endB, perTuple).
+    None, an unbounded max, is infinity here. Returns (endA, endB, perTuple).
     """
     cls = model.classifiers.get(relator)
     if cls is None or cls.stereotype is not Stereotype.RELATOR:
@@ -307,9 +303,6 @@ def derive_material_cardinalities(
             f"relator '{relator}' has {len(meds)} mediations; the calculus needs exactly 2"
         )
     med_a, med_b = meds
-    if med_a.source_mult is None or med_a.target_mult is None \
-            or med_b.source_mult is None or med_b.target_mult is None:
-        raise NotBinaryRelatorError(f"mediations of '{relator}' lack multiplicities")
     n_a, cap_n_a = med_a.source_mult.min, med_a.source_mult.max
     m_a, cap_m_a = med_a.target_mult.min, med_a.target_mult.max
     n_b, cap_n_b = med_b.source_mult.min, med_b.source_mult.max

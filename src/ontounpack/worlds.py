@@ -85,10 +85,8 @@ from itertools import (
 from operator import ge, gt, itemgetter
 
 from .core import (
-    MOMENT_ROOTS,
     NON_SORTALS,
     ROLE_FAMILY,
-    SORTALS,
     Direction,
     Model,
     Multiplicity,
@@ -290,12 +288,9 @@ class _Prep:
             ]
             for b in self.bases
         }
+        # a justified mixin has no base (identity_root), so these are sortals
         self.justified_sortals_of: dict[str, list[str]] = {
-            b: sorted(
-                c for c in self.justified
-                if cls[c].stereotype in SORTALS and self.base_of.get(c) == b
-            )
-            for b in self.bases
+            b: sorted(c for c in self.justified if self.base_of.get(c) == b) for b in self.bases
         }
 
         rels = sorted(model.relations.values(), key=lambda r: r.name)
@@ -329,7 +324,7 @@ class _Prep:
         self.materials: list[tuple[RelationDecl, list[str], list[str]]] = [
             (r, anchoring(r, r.source), anchoring(r, r.target))
             for r in rels
-            if r.stereotype is RelationStereotype.MATERIAL and r.derived_from is not None
+            if r.derived_from is not None
         ]
 
         # bases whose individuals can be link targets (not packable as options)
@@ -354,7 +349,7 @@ class _Prep:
                 grounding = [d for d in direct if d.target in model.ancestors_or_self(mc.source)]
                 if grounding:
                     modes.append((mc.name, any(
-                        d.source_mult is not None and d.source_mult.min >= 1 for d in grounding
+                        d.source_mult.min >= 1 for d in grounding
                     )))
             self.groundings[q] = (direct, modes)
 
@@ -366,21 +361,13 @@ class _Prep:
     # -- taxonomy helpers ------------------------------------------------
 
     def bases_of(self, classifier: str) -> frozenset[str]:
-        """Identity bases whose individuals may instantiate `classifier`."""
-        model = self.model
-        cls = model.classifiers
-        if classifier not in cls:
-            return frozenset()
-        if cls[classifier].stereotype in SORTALS or cls[classifier].stereotype in MOMENT_ROOTS:
-            root = self.base_of.get(classifier)
-            return frozenset((root,)) if root is not None else frozenset()
-        roots = set()
-        for d in model.descendants_or_self(classifier):
-            if cls[d].stereotype in SORTALS or cls[d].stereotype in MOMENT_ROOTS:
-                root = self.base_of.get(d)
-                if root is not None:
-                    roots.add(root)
-        return frozenset(roots)
+        """Identity bases whose individuals may instantiate `classifier`.
+
+        The bases of it and its descendants: R1 and R2 keep every descendant
+        of a sortal or moment classifier on that classifier's own base.
+        """
+        roots = {self.base_of.get(d) for d in self.model.descendants_or_self(classifier)}
+        return frozenset(roots - {None})
 
     def up_close(self, names) -> frozenset[str]:
         out: set[str] = set()
@@ -445,11 +432,8 @@ class _Prep:
         return table
 
 
-def _target_subsets(candidates: tuple, mult: Multiplicity | None):
+def _target_subsets(candidates: tuple, mult: Multiplicity):
     """All target-sets one source may link, sized by the target-side bound."""
-    if mult is None:
-        yield ()
-        return
     hi = len(candidates) if mult.max is None else min(mult.max, len(candidates))
     for size in range(mult.min, hi + 1):
         yield from combinations(candidates, size)
@@ -776,8 +760,6 @@ class _Bounds:
         self.over = self.over_mask = self.under = self.under_mask = 0
         for r in prep.stored:
             mult = r.source_mult
-            if mult is None:
-                continue
             for t in targets[r.name]:
                 # no count passes `total`; a min past it refuses every load all the same
                 hi = mult.max if mult.max is not None and mult.max < total else None
@@ -840,7 +822,7 @@ def _value_options(stream: _Stream, types: frozenset[str]) -> list[tuple]:
         required: dict[str, bool] = {}
         for c in stream.prep.value_chars:
             if c.target in types:
-                needed = c.source_mult is not None and c.source_mult.min >= 1
+                needed = c.source_mult.min >= 1
                 required[c.source] = required.get(c.source, False) or needed
         # a quality contributes one (quality, value) row, or none when optional
         options = stream.value_options[types] = [
@@ -888,8 +870,6 @@ def _assemble(stream: _Stream, individuals, profile_of, links):
 
     # per-target counts (the source-side multiplicity of each stored relation)
     for r in prep.stored:
-        if r.source_mult is None:
-            continue
         pairs = by_relation.get(r.name, ())
         incoming: dict[str, int] = {}
         for s, t in pairs:
@@ -950,12 +930,10 @@ def _assemble(stream: _Stream, individuals, profile_of, links):
             outgoing[x] = outgoing.get(x, 0) + 1
             incoming[y] = incoming.get(y, 0) + 1
         for ind, _ in individuals:
-            if rel.source in types[ind] and rel.target_mult is not None:
-                if not rel.target_mult.admits(outgoing.get(ind, 0)):
-                    return None
-            if rel.target in types[ind] and rel.source_mult is not None:
-                if not rel.source_mult.admits(incoming.get(ind, 0)):
-                    return None
+            if rel.source in types[ind] and not rel.target_mult.admits(outgoing.get(ind, 0)):
+                return None
+            if rel.target in types[ind] and not rel.source_mult.admits(incoming.get(ind, 0)):
+                return None
         all_links.extend((rel.name, x, y) for x, y in sorted(derived))
 
     return {ind: frozenset(ts) for ind, ts in types.items()}, all_links
@@ -1150,13 +1128,13 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
             outgoing[s] = outgoing.get(s, 0) + 1
             incoming[t] = incoming.get(t, 0) + 1
         for ind in sorted(ids):
-            if r.source in world.types[ind] and r.target_mult is not None:
+            if r.source in world.types[ind]:
                 n = outgoing.get(ind, 0)
                 if not r.target_mult.admits(n):
                     problems.append(
                         f"'{ind}' has {n} '{r.name}' links; multiplicity {r.target_mult}"
                     )
-            if r.target in world.types[ind] and r.source_mult is not None:
+            if r.target in world.types[ind]:
                 n = incoming.get(ind, 0)
                 if not r.source_mult.admits(n):
                     problems.append(
@@ -1211,7 +1189,7 @@ def validate_world(model: Model, world: InstanceWorld, scope: Scope | None = Non
         if not bearers_ok:
             problems.append(f"'{b}' bears a '{q}' value but no characterization allows it")
     for c in prep.value_chars:
-        if c.source_mult is None or c.source_mult.min < 1:
+        if c.source_mult.min < 1:
             continue
         for ind in sorted(ids):
             if c.target in world.types[ind] and (c.source, ind) not in seen_values:
@@ -1287,7 +1265,7 @@ def eval_comparative(
     is False — the deliberately broken tie-admitting variant).
     """
     rel = model.relations.get(relation)
-    if rel is None or rel.stereotype is not RelationStereotype.COMPARATIVE or rel.via is None:
+    if rel is None or rel.stereotype is not RelationStereotype.COMPARATIVE:
         raise ValueError(f"'{relation}' is not a grounded comparative relation")
     q = rel.via.quality
     space = model.spaces.get(q)
@@ -1302,7 +1280,7 @@ def eval_comparative(
             if c.target in ts:
                 v = world.values.get((q, ind))
                 if v is None:
-                    if c.source_mult is not None and c.source_mult.min >= 1:
+                    if c.source_mult.min >= 1:
                         raise MissingQualityValueError(
                             f"'{ind}' lacks a value for '{q}'"
                         )

@@ -169,6 +169,19 @@ def test_unpack_refuses_a_space_it_could_not_read_back(capsys, tmp_path, space, 
     assert not dst.exists()
 
 
+def test_unpack_refuses_a_space_other_than_the_declared_one(capsys, tmp_path):
+    src, dst = tmp_path / "age.onto", tmp_path / "out"
+    src.write_text(OLDER + "quality Age\nspace Age ordered 0..9\n")
+    unpack = ("unpack", str(src), "olderThan", "--quality", "Age", "--format", "text")
+    code, out, err = run(capsys, *unpack, "--space=0..5", "-o", str(dst))
+    assert (code, out) == (2, "")
+    assert err.startswith("unpack failed: existing quality 'Age' has space ordered 0..9")
+    assert not dst.exists()
+    code, out, _ = run(capsys, *unpack, "--space=0..9")
+    assert code == 0
+    assert "space Age ordered 0..9" in out
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unpack_output_with_a_space_parses_back(capsys, tmp_path, fmt):
     src, dst = tmp_path / "older.onto", tmp_path / f"out.{fmt}"

@@ -131,6 +131,10 @@ class TestIdentity:
     def test_identity_root_for_moments(self, relator_model):
         assert identity_root(relator_model, "Treatment") == "Treatment"
         assert identity_root(relator_model, "PathologicalCondition") == "PathologicalCondition"
+        # a category above a mode supplies no identity; a relator above one does
+        m = parse_ok("model T\n\ncategory C\nmode M specializes C\n"
+                     "relator R\nrelator S specializes R\n")
+        assert (identity_root(m, "M"), identity_root(m, "S")) == ("M", "R")
 
     def test_identity_root_none_for_qualities_and_mixins(self, relator_model, event_model):
         assert identity_root(relator_model, "Severity") is None

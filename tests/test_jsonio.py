@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import re
 
@@ -9,6 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontounpack import Model, ParseError, emit_json, load_json, parse_text, render_dsl
+from ontounpack.core import (
+    Derivation,
+    Direction,
+    Multiplicity,
+    RelationDecl,
+    RelationStereotype,
+    ViaQuality,
+)
 from ontounpack.jsonio import dumps_indented, iter_indented
 
 from conftest import load_fixture, parse_ok
@@ -295,6 +304,60 @@ def test_declaration_errors_name_their_declaration(rule, dsl, document, fragment
     dsl_messages, json_message = reject_both(dsl, document)
     assert json_message in dsl_messages
     assert f"'{decl}'" in json_message
+
+
+# --- the DSL, JSON and RelationDecl accept the same relation shapes -------------
+
+# a source each stereotype accepts, so only the relation's shape can be refused
+SHAPE_SOURCES = {
+    RelationStereotype.MEDIATION: "R",
+    RelationStereotype.CHARACTERIZATION: "Q",
+    RelationStereotype.PARTICIPATION: "E",
+}
+SHAPE_CLASSIFIERS = (("relator", "R"), ("kind", "A"), ("quality", "Q"), ("event", "E"))
+SHAPES = list(itertools.product(
+    RelationStereotype, ["none", "source", "target", "both"], [False, True], [False, True],
+))
+
+
+@pytest.mark.parametrize("stereotype, mults, via, derived", SHAPES, ids=[
+    f"{s.value}-{m}{'-via' * v}{'-derived' * d}" for s, m, v, d in SHAPES
+])
+def test_three_doors_accept_the_same_relation_shapes(stereotype, mults, via, derived):
+    source = SHAPE_SOURCES.get(stereotype, "A")
+    smult = Multiplicity(1) if mults in ("source", "both") else None
+    tmult = Multiplicity(1, 1) if mults in ("target", "both") else None
+    try:
+        built = RelationDecl(
+            "r", stereotype, source, "A", smult, tmult,
+            Derivation("R") if derived else None,
+            ViaQuality("Q", Direction.DESC) if via else None,
+        )
+        problems = set()
+    except ValueError as exc:
+        built, problems = None, set(str(exc).split("; "))
+
+    dsl = "".join(f"{s} {n}\n" for s, n in SHAPE_CLASSIFIERS) + (
+        f"{stereotype.value} r : {source} {smult or ''} -- {tmult or ''} A"
+        + " derivedFrom R [1..*]" * derived + " via Q desc" * via + "\n"
+    )
+    parsed = parse_text("model T\n\n" + dsl)
+    document = json_doc(
+        *(cls(n, s) for s, n in SHAPE_CLASSIFIERS),
+        relations=[rel("r", stereotype.value, source, "A", (
+            smult and smult.to_dict(), tmult and tmult.to_dict(),
+        ), derived="R" if derived else None, via="Q" if via else None)],
+    )
+    loaded = load_json(json.dumps(document).encode())
+
+    if built is None:
+        assert isinstance(parsed, list) and isinstance(loaded, ParseError)
+        assert {e.message for e in parsed} == problems
+        assert loaded.message in problems
+    else:
+        assert isinstance(parsed, Model), parsed
+        assert parsed.relations["r"] == built
+        assert loaded == parsed
 
 
 @pytest.mark.parametrize("document, message", [

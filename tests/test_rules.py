@@ -96,13 +96,30 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("rule_id", sorted(MUTANTS, key=lambda r: int(r[1:])))
-def test_mutant_triggers_exactly_one_diagnostic(rule_id):
-    model = parse_ok(MUTANTS[rule_id])
-    diags = check(model)
+# further R9 shapes the DSL can spell, each with the one message it must give
+R9_CASES = {
+    "R9-via-not-a-quality": (
+        "model T\n\nmode M\nkind K\ncomparative c : M -- M via K desc\n",
+        "viaQuality 'K' of comparative 'c' is not a quality",
+    ),
+    "R9-end-not-grounded": (
+        "model T\n\nmode M\nmode N\nquality Q\nspace Q ordered 0..9\n"
+        "characterization hasQ : Q [1..1] -- [1..1] M\ncomparative c : M -- N via Q desc\n",
+        "quality 'Q' does not ground end(s) N of comparative 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule_id, text, message", [
+    *(pytest.param(r, MUTANTS[r], None, id=r) for r in sorted(MUTANTS, key=lambda r: int(r[1:]))),
+    *(pytest.param("R9", text, message, id=case) for case, (text, message) in R9_CASES.items()),
+])
+def test_mutant_triggers_exactly_one_diagnostic(rule_id, text, message):
+    diags = check(parse_ok(text))
     assert [d.rule_id for d in diags] == [rule_id], [
         (d.rule_id, d.message) for d in diags
     ]
+    assert message in (None, diags[0].message)
 
 
 def test_r8_is_a_warning_not_an_error():

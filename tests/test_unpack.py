@@ -218,7 +218,8 @@ def test_unpack_comparative_reuses_grounded_quality():
         "characterization hasSeverity : Severity [1..1] -- [1..1] PathologicalCondition\n"
         "material worseThan : PathologicalCondition [0..*] -- [0..*] PathologicalCondition\n"
     )
-    plan = unpack_comparative(m, "worseThan", "Severity", ORDERED, Direction.DESC)
+    plan = unpack_comparative(m, "worseThan", "Severity", QualitySpace("Severity", (0, 100)),
+                              Direction.DESC)
     assert plan.new_classifiers == ()
     assert plan.new_relations == ()
     assert check(apply_plan(m, plan)) == []
@@ -236,18 +237,46 @@ def test_unpack_comparative_refuses_a_space_the_dsl_cannot_write(bounds, message
         unpack_comparative(m, "olderThan", "Age", QualitySpace("Age", bounds), Direction.DESC)
 
 
+def test_unpack_comparative_keeps_an_existing_quality_only_with_its_space():
+    m = parse_ok("model T\n\nkind Person\nquality Age\nspace Age ordered 0..9\n"
+                 "material olderThan : Person [0..*] -- [0..*] Person\n")
+    for other in (QualitySpace("Age", (0, 5)), QualitySpace("Age", labels=("young", "old"))):
+        with pytest.raises(UnorderedSpaceError,
+                           match="existing quality 'Age' has space ordered 0..9, not the one"):
+            unpack_comparative(m, "olderThan", "Age", other, Direction.DESC)
+    plan = unpack_comparative(m, "olderThan", "Age", QualitySpace("Age", (0, 9)), "desc")
+    assert plan.new_spaces == ()
+    assert apply_plan(m, plan).spaces["Age"].ordered == (0, 9)
+
+
 def test_unpack_comparative_error_paths(relator_model):
     nominal = QualitySpace(owner="Mood", labels=("good", "bad"))
     m = parse_ok("model T\n\nkind Person\nmaterial likes : Person [0..*] -- [0..*] Person\n")
-    with pytest.raises(UnorderedSpaceError):
-        unpack_comparative(m, "likes", "Mood", nominal, Direction.ASC)
-    with pytest.raises(AlreadyDerivedError):
-        unpack_comparative(relator_model, "moreSevereThan", "Severity", ORDERED, "desc")
-    with pytest.raises(NotMaterialError):
-        unpack_comparative(relator_model, "involvesPatient", "Age", ORDERED, "asc")
     two_kinds = parse_ok(
         "model T\n\nkind Person\nkind Robot\n"
         "material beats : Person [0..*] -- [0..*] Robot\n"
     )
-    with pytest.raises(UnpackError):
-        unpack_comparative(two_kinds, "beats", "Skill", ORDERED, "desc")
+    moods = parse_ok("model T\n\nkind Person\nquality Mood\nspace Mood nominal {good, bad}\n"
+                     "quality Shade\nmaterial likes : Person [0..*] -- [0..*] Person\n")
+    has_age = parse_ok("model T\n\nkind Person\nmaterial likes : Person [0..*] -- [0..*] Person\n"
+                       "material hasAge : Person [0..*] -- [0..*] Person\n")
+    cases = [
+        (m, "likes", "Mood", nominal, UnorderedSpaceError, "needs an ordered space, got nominal"),
+        (relator_model, "moreSevereThan", "Severity", ORDERED, AlreadyDerivedError,
+         "already grounded via 'Severity'"),
+        (relator_model, "involvesPatient", "Age", ORDERED, NotMaterialError, "is mediation"),
+        (two_kinds, "beats", "Skill", ORDERED, UnpackError, "share no kind"),
+        (m, "ghost", "Age", ORDERED, NotMaterialError, "no relation named 'ghost'"),
+        (relator_model, "treatedBy", "Age", ORDERED, AlreadyDerivedError,
+         "already derived from 'Treatment'"),
+        (m, "likes", "Person", ORDERED, NameClashError, "'Person' is already declared as kind"),
+        (moods, "likes", "Mood", ORDERED, UnorderedSpaceError,
+         "existing quality 'Mood' has no ordered space"),
+        (moods, "likes", "Shade", ORDERED, UnorderedSpaceError,
+         "existing quality 'Shade' has no ordered space"),
+        (m, "likes", "likes", ORDERED, NameClashError, "name 'likes' is already declared"),
+        (has_age, "likes", "Age", ORDERED, NameClashError, "name 'hasAge' is already declared"),
+    ]
+    for model, relation, quality, space, error, message in cases:
+        with pytest.raises(error, match=message):
+            unpack_comparative(model, relation, quality, space, "desc")
