@@ -67,6 +67,19 @@ _Symmetry holds, per swap and per distinct option list, the position of
 each option's image, so a pure multiset is mapped through its table and
 sorted, and the first base whose image differs decides. Every table is the
 stream's and goes with its walk.
+
+Independent parts: a stored relation ties each base of its source to each
+base of its target, and a scope cap on a non-base classifier ties the bases
+it spans, since it counts their instances together. No link, bound, swap or
+cap crosses from one part to another, so a count vector's worlds are the
+product of each part's worlds at that part's counts, and each part's are
+generated once per stream. The product's keys are the ones the whole
+vector would get: colour ties, per-base labels and the tie-order search all
+stay inside a part, another part's colours shift the dense ranks only
+monotonically, and the least sorted union of link rows is the union of each
+part's least rows, because two sorted multisets of one size compare by the
+least element of their symmetric difference. So a world's rows are the
+sorted union of its parts' rows.
 """
 from __future__ import annotations
 
@@ -116,7 +129,8 @@ class Scope:
     per_classifier caps individuals per identity base; an entry for a
     non-base classifier acts as a filter on that classifier's extension.
     default_count applies to bases only — listing a role caps it, omitting it
-    does not.
+    does not. Every count and world_limit is an int (not a bool); anything
+    else raises ValueError.
     """
 
     per_classifier: tuple = ()
@@ -126,6 +140,12 @@ class Scope:
 
     def __post_init__(self):
         per = _as_sorted_items(self.per_classifier)
+        # counts and the limit are ints, and a bool is not one (see QualitySpace.contains)
+        for what, value in [*((f"scope count for '{name}'", n) for name, n in per),
+                             ("default scope count", self.default_count),
+                             ("world limit", self.world_limit)]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{what} must be an int, got {value!r}")
         for name, count in per:
             if count < 0:
                 raise ValueError(f"scope count for '{name}' must be >= 0, got {count}")
@@ -327,10 +347,18 @@ class _Prep:
             if r.derived_from is not None
         ]
 
-        # bases whose individuals can be link targets (not packable as options)
+        # bases whose individuals can be link targets (not packable as options),
+        # and the parts: the bases a chain of stored relations ties, where a
+        # relation ties each base of its source to each base of its target
         targeted: set[str] = set()
+        part_of = {b: {b} for b in self.bases}
         for r in self.stored:
-            targeted |= self.bases_of(r.target)
+            ends = self.bases_of(r.target)
+            targeted |= ends
+            tied = set().union(*(part_of[b] for b in ends | self.bases_of(r.source)))
+            for b in tied:
+                part_of[b] = tied
+        self.parts: list[list[str]] = [sorted(p) for b, p in part_of.items() if b == min(p)]
         self.pure_bases: list[str] = [b for b in self.bases if b not in targeted]
         self.open_bases: list[str] = [b for b in self.bases if b in targeted]
 
@@ -453,8 +481,9 @@ def enumerate_worlds(model: Model, scope: Scope | None = None) -> list[InstanceW
     Worlds come in the order (individual count, per-base count vector,
     canonical key), so the list is exhaustive whenever the total count fits
     under world_limit, and otherwise holds the smallest worlds. Only the
-    worlds returned are generated; no vector is skipped. A scope admitting
-    more than MAX_TOTAL_INDIVIDUALS individuals raises ScopeTooLargeError.
+    count vectors up to the last world returned are generated; no vector is
+    skipped. A scope admitting more than MAX_TOTAL_INDIVIDUALS individuals
+    raises ScopeTooLargeError.
     """
     scope = scope or DEFAULT_SCOPE
     return list(islice(_worlds(model, scope), scope.world_limit))
@@ -494,8 +523,10 @@ class _Stream:
     What depends only on the open individuals' profiles is built once per
     open-profile assignment, as a _Frame in `frames`, and serves every count
     vector that draws that assignment, and per-bearer value options are
-    memoized in `value_options`. _worlds makes one stream per query and only
-    its walk holds it, so these tables are freed with the walk.
+    memoized in `value_options`. With more than one independent part (see
+    the module notes), each part's sorted keys are memoized per count of its
+    own in `part_keys`. _worlds makes one stream per query and only its walk
+    holds it, so these tables and the part lists are freed with the walk.
     """
 
     def __init__(self, prep: _Prep, scope: Scope):
@@ -525,6 +556,19 @@ class _Stream:
         self.vectors = sorted(product(*(range(cap + 1) for cap in caps)), key=lambda v: (sum(v), v))
         self.value_options: dict[frozenset[str], list[tuple]] = {}
         self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
+        # the parts of the bases with individuals, as positions in prep.bases; a
+        # cap counts the instances of every base it spans, so it joins their parts
+        self.parts: list[list[int]] = []
+        if len(prep.parts) > 1:
+            at = {b: n for n, b in enumerate(prep.bases)}
+            parts = [{at[b] for b in part if caps[at[b]]} for part in prep.parts]
+            for name, _ in self.caps:
+                spanned = {at[b] for b in prep.bases_of(name)}
+                parts = [p for p in parts if not p & spanned] + [
+                    set().union(*(p for p in parts if p & spanned))
+                ]
+            self.parts = [sorted(p) for p in parts if p]
+        self.part_keys: dict[tuple, list] = {}  # per (part, its counts): its worlds' sorted keys
 
     def walk(self, needs) -> Iterator[InstanceWorld]:
         """The worlds in stream order, but for each count vector that leaves a `needs` group empty.
@@ -537,8 +581,36 @@ class _Stream:
         at = [[n for n, b in enumerate(self.prep.bases) if b in group] for group in needs]
         for vector in self.vectors:
             if all(any(vector[n] for n in group) for group in at):
-                keys = sorted(set(_worlds_for_counts(self, dict(zip(self.prep.bases, vector)))))
+                if len(self.parts) > 1:
+                    keys = self.merged_keys(vector)
+                else:
+                    keys = sorted(set(_worlds_for_counts(self, dict(zip(self.prep.bases, vector)))))
                 yield from (InstanceWorld(*rows) for rows in keys)
+
+    def merged_keys(self, vector: tuple) -> list:
+        """The sorted keys of a vector's worlds: the product of its populated parts' worlds.
+
+        Each (part, counts) is generated once per stream. A world's rows are
+        the sorted union of one world's rows per part (see the module notes).
+        """
+        lists = []
+        # the zero vector populates no part: its one world is the first part's empty one
+        for part in [p for p in self.parts if any(vector[n] for n in p)] or self.parts[:1]:
+            sub = tuple(vector[n] for n in part)
+            keys = self.part_keys.get((part[0], sub))
+            if keys is None:
+                count_of = dict.fromkeys(self.prep.bases, 0)
+                count_of.update((self.prep.bases[n], vector[n]) for n in part)
+                keys = self.part_keys[part[0], sub] = sorted(set(_worlds_for_counts(self, count_of)))
+            if not keys:
+                return []  # no world of this part, so none of the vector: later parts wait
+            lists.append(keys)
+        if len(lists) == 1:
+            return lists[0]
+        return sorted(
+            tuple(tuple(sorted(chain.from_iterable(rows))) for rows in zip(*combo))
+            for combo in product(*lists)
+        )
 
 
 def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):

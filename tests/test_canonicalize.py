@@ -118,6 +118,12 @@ CASES = {
     "relator": ("healthcare_relator.onto",
                 {"Person": 3, "Organization": 3, "Treatment": 3, "PathologicalCondition": 0},
                 {}, 617),
+    # no stored relation touches the condition, so its 3 worlds and the 617
+    # canonicalizations of the rest make all 2,320 worlds
+    "relator_conditions": ("healthcare_relator.onto",
+                           {"Person": 3, "Organization": 3, "Treatment": 3,
+                            "PathologicalCondition": 1},
+                           {"Severity": (3, 50, 97)}, 620),
     "severity": (SEVERITY, {"Person": 3, "PathologicalCondition": 4}, {"Severity": (0, 1)}, None),
     "marriage": (MARRIAGE, {"Person": 5, "Marriage": 2}, {}, 1027),
     # a digraph of one colour: ties hold individuals that link to each other

@@ -152,6 +152,13 @@ SUBTYPE_ENDS = (
     "material treats : Healthy [0..*] -- [0..*] Sick derivedFrom Treatment [1..*]\n"
 )
 
+AGENTS = (
+    "model Agents\n\n"
+    "category Agent\n"
+    "kind Ka specializes Agent\n"
+    "kind Kb specializes Agent\n"
+)
+
 CASES = {
     "toy": (TOY, {"Person": 3}, {}),
     "severity": (SEVERITY, {"Person": 1, "PathologicalCondition": 2}, {"Severity": (0, 1)}),
@@ -179,6 +186,14 @@ CASES = {
     "relator_pair": ("healthcare_relator.onto",
                      {"Person": 2, "Organization": 1, "Treatment": 1, "PathologicalCondition": 0},
                      {}),
+    # two parts that no relation ties, whose rows interleave: Organization_0 <
+    # PathologicalCondition_0 < Person_0, so a world's rows are not one part's
+    # followed by the other's
+    "relator_conditions": ("healthcare_relator.onto",
+                           {"Person": 1, "Organization": 1, "Treatment": 1,
+                            "PathologicalCondition": 2}, {"Severity": (0, 1)}),
+    # a cap over two kinds that no relation ties counts the instances of both
+    "agent_cap": (AGENTS, {"Ka": 2, "Kb": 2, "Agent": 2}, {}),
     "event": ("healthcare_event.onto", {"Person": 1, "Organization": 1, "Treatment": 1}, {}),
     "marriage": (MARRIAGE, {"Person": 2, "Marriage": 1}, {}),
     "marriage_wide": (MARRIAGE, {"Person": 4, "Marriage": 1}, {}),
@@ -233,3 +248,7 @@ def test_worlds_are_the_oracles_orbit_representatives(case):
     # one world per class, and every class once
     assert len(worlds) == len(orbits)
     assert {least_encoding(w) for w in worlds} == orbits
+    # and each world's rows come sorted, as InstanceWorld promises
+    for w in worlds:
+        for rows in (w.individuals, w.type_rows, w.links, w.value_rows):
+            assert list(rows) == sorted(rows), w

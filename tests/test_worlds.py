@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -357,6 +358,22 @@ def test_scope_rejects_bad_counts():
         Scope(world_limit=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"per_classifier": {"Person": 2.5}}, "scope count for 'Person' must be an int, got 2.5"),
+    ({"per_classifier": {"Person": "2"}}, "scope count for 'Person' must be an int, got '2'"),
+    ({"per_classifier": {"Person": True}}, "scope count for 'Person' must be an int, got True"),
+    ({"default_count": 1.0}, "default scope count must be an int, got 1.0"),
+    ({"default_count": False}, "default scope count must be an int, got False"),
+    ({"world_limit": 2.5}, "world limit must be an int, got 2.5"),
+    ({"world_limit": True}, "world limit must be an int, got True"),
+], ids=["float-count", "str-count", "bool-count", "float-default", "bool-default",
+        "float-limit", "bool-limit"])
+def test_scope_refuses_counts_that_are_not_ints(kwargs, message):
+    # refused here, not later in the world finder or as a TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scope(**kwargs)
+
+
 def test_scope_value_validation():
     m = parse_ok(SEVERITY)
     for values in ((0, 5, 999), (True,)):  # a bool is no value of an ordered space
@@ -488,7 +505,7 @@ RELATOR_P3O3T3PC1 = {"Person": 3, "Organization": 3, "Treatment": 3, "Pathologic
 
 
 def test_the_first_world_costs_at_most_one_canonicalization(canonicalizations):
-    # the full list takes 2,468 canonicalizations
+    # the full list takes 620 canonicalizations
     model = load_fixture("healthcare_relator.onto")
     scope = Scope(per_classifier=RELATOR_P3O3T3PC1, world_limit=1)
     assert enumerate_worlds(model, scope) == [EMPTY_WORLD]
