@@ -69,21 +69,21 @@ sorted, and the first base whose image differs decides. Every table is the
 stream's and goes with its walk.
 
 Independent parts: a stored relation ties each base of its source to each
-base of its target, and a scope cap on a non-base classifier ties the bases
-it spans, since it counts their instances together. No link, bound, swap or
-cap crosses from one part to another, so a count vector's worlds are the
-product of each part's worlds at that part's counts, and each part's are
-generated once per stream. The product's keys are the ones the whole
-vector would get: colour ties, per-base labels and the tie-order search all
-stay inside a part, another part's colours shift the dense ranks only
-monotonically, and the least sorted union of link rows is the union of each
-part's least rows, because two sorted multisets of one size compare by the
-least element of their symmetric difference. So a world's rows are the
+base of its target, and a cap on a non-base classifier ties the bases it
+spans, since it counts their instances together; a connected model is one
+part. No link, bound, swap or cap crosses parts, so every count vector's
+worlds are built as the product of each part's worlds at that part's
+counts, each generated once per stream. The product's keys are the ones
+the whole vector would get: colour ties, per-base labels and the tie-order
+search all stay inside a part, another part's colours shift the dense ranks
+only monotonically, and the least sorted union of link rows is the union of
+each part's least rows, because two sorted multisets of one size compare by
+the least element of their symmetric difference. So a world's rows are the
 sorted union of its parts' rows.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import (
@@ -130,7 +130,10 @@ class Scope:
     non-base classifier acts as a filter on that classifier's extension.
     default_count applies to bases only — listing a role caps it, omitting it
     does not. Every count and world_limit is an int (not a bool); anything
-    else raises ValueError.
+    else raises ValueError. Both fields take a dict or (name, entry) pairs; a
+    name given twice raises ValueError, since no entry would be the one that
+    wins, as do a quality's values given as a str or bytes (which would be
+    split into characters) or as anything not iterable.
     """
 
     per_classifier: tuple = ()
@@ -141,42 +144,39 @@ class Scope:
     def __post_init__(self):
         per = _as_sorted_items(self.per_classifier)
         # counts and the limit are ints, and a bool is not one (see QualitySpace.contains)
-        for what, value in [*((f"scope count for '{name}'", n) for name, n in per),
-                             ("default scope count", self.default_count),
-                             ("world limit", self.world_limit)]:
+        for what, value, least in [*((f"scope count for '{name}'", n, 0) for name, n in per),
+                                    ("default scope count", self.default_count, 0),
+                                    ("world limit", self.world_limit, 1)]:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{what} must be an int, got {value!r}")
-        for name, count in per:
-            if count < 0:
-                raise ValueError(f"scope count for '{name}' must be >= 0, got {count}")
-        qv = tuple(
-            (q, tuple(vs))
-            for q, vs in _as_sorted_items(self.quality_values)
-        )
-        for q, vs in qv:
+            if value < least:
+                raise ValueError(f"{what} must be >= {least}, got {value}")
+        qv = []
+        for q, vs in _as_sorted_items(self.quality_values):
+            # a str or bytes would be read as one value per character
+            if not isinstance(vs, Iterable) or isinstance(vs, (str, bytes)):
+                raise ValueError(f"scope values of quality '{q}' must be a collection, got {vs!r}")
+            vs = tuple(vs)
             # worlds sort by their value rows, and values of two types may not compare
             if len({type(v) for v in vs}) > 1:
                 raise ValueError(f"scope values of quality '{q}' mix types: {vs!r}")
-        if self.default_count < 0:
-            raise ValueError(f"default scope count must be >= 0, got {self.default_count}")
-        if self.world_limit < 1:
-            raise ValueError(f"world limit must be >= 1, got {self.world_limit}")
+            qv.append((q, vs))
+        for what, names in [("classifier", [n for n, _ in per]), ("quality", [q for q, _ in qv])]:
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValueError(f"scope names {what} '{name}' more than once")
         object.__setattr__(self, "per_classifier", per)
-        object.__setattr__(self, "quality_values", qv)
+        object.__setattr__(self, "quality_values", tuple(qv))
 
     @cached_property
     def _caps(self) -> dict[str, int]:
         return dict(self.per_classifier)
 
     def count_for_base(self, name: str) -> int:
-        explicit = self._caps.get(name)
-        return self.default_count if explicit is None else explicit
+        return self._caps.get(name, self.default_count)
 
     def values_for(self, quality: str) -> tuple | None:
-        for q, vs in self.quality_values:
-            if q == quality:
-                return vs
-        return None
+        return dict(self.quality_values).get(quality)
 
 
 DEFAULT_SCOPE = Scope()
@@ -523,10 +523,12 @@ class _Stream:
     What depends only on the open individuals' profiles is built once per
     open-profile assignment, as a _Frame in `frames`, and serves every count
     vector that draws that assignment, and per-bearer value options are
-    memoized in `value_options`. With more than one independent part (see
-    the module notes), each part's sorted keys are memoized per count of its
-    own in `part_keys`. _worlds makes one stream per query and only its walk
-    holds it, so these tables and the part lists are freed with the walk.
+    memoized in `value_options`. A vector's worlds are built from its parts
+    (see the module notes). With more than one part, each part's sorted keys
+    are memoized per count of its own in `part_keys`, for every vector with
+    that count; a lone part meets each count once per walk, and keeping its
+    lists would hold every key until the walk ends. _worlds makes one stream
+    per query and only its walk holds it, so these tables go with the walk.
     """
 
     def __init__(self, prep: _Prep, scope: Scope):
@@ -558,16 +560,14 @@ class _Stream:
         self.frames: dict[tuple, _Frame] = {}  # per open-profile assignment
         # the parts of the bases with individuals, as positions in prep.bases; a
         # cap counts the instances of every base it spans, so it joins their parts
-        self.parts: list[list[int]] = []
-        if len(prep.parts) > 1:
-            at = {b: n for n, b in enumerate(prep.bases)}
-            parts = [{at[b] for b in part if caps[at[b]]} for part in prep.parts]
-            for name, _ in self.caps:
-                spanned = {at[b] for b in prep.bases_of(name)}
-                parts = [p for p in parts if not p & spanned] + [
-                    set().union(*(p for p in parts if p & spanned))
-                ]
-            self.parts = [sorted(p) for p in parts if p]
+        at = {b: n for n, b in enumerate(prep.bases)}
+        parts = [{at[b] for b in part if caps[at[b]]} for part in prep.parts]
+        for name, _ in self.caps:
+            spanned = {at[b] for b in prep.bases_of(name)}
+            parts = [p for p in parts if not p & spanned] + [
+                set().union(*(p for p in parts if p & spanned))
+            ]
+        self.parts: list[list[int]] = [sorted(p) for p in parts if p]
         self.part_keys: dict[tuple, list] = {}  # per (part, its counts): its worlds' sorted keys
 
     def walk(self, needs) -> Iterator[InstanceWorld]:
@@ -581,11 +581,7 @@ class _Stream:
         at = [[n for n, b in enumerate(self.prep.bases) if b in group] for group in needs]
         for vector in self.vectors:
             if all(any(vector[n] for n in group) for group in at):
-                if len(self.parts) > 1:
-                    keys = self.merged_keys(vector)
-                else:
-                    keys = sorted(set(_worlds_for_counts(self, dict(zip(self.prep.bases, vector)))))
-                yield from (InstanceWorld(*rows) for rows in keys)
+                yield from (InstanceWorld(*rows) for rows in self.merged_keys(vector))
 
     def merged_keys(self, vector: tuple) -> list:
         """The sorted keys of a vector's worlds: the product of its populated parts' worlds.
@@ -601,7 +597,9 @@ class _Stream:
             if keys is None:
                 count_of = dict.fromkeys(self.prep.bases, 0)
                 count_of.update((self.prep.bases[n], vector[n]) for n in part)
-                keys = self.part_keys[part[0], sub] = sorted(set(_worlds_for_counts(self, count_of)))
+                keys = sorted(set(_worlds_for_counts(self, count_of)))
+                if len(self.parts) > 1:
+                    self.part_keys[part[0], sub] = keys
             if not keys:
                 return []  # no world of this part, so none of the vector: later parts wait
             lists.append(keys)
@@ -648,7 +646,7 @@ def _worlds_for_counts(stream: _Stream, count_of: dict[str, int]):
             load = sum(map(list.__getitem__, open_loads, link_combo))
             if not bounds.fits(load):
                 continue
-            ties = symmetry.open_ties(link_combo) if symmetry else ()
+            ties = symmetry.open_ties(link_combo)
             if ties is None:
                 continue
             base_links = [
@@ -732,7 +730,7 @@ class _Frame:
             (at, a, b) for at, ((a, base), (b, other)) in pairs
             if base == other and self.profile_of[a] == self.profile_of[b]
         ]
-        self.symmetry = _Symmetry(swaps, self.open_links, self.pure_options) if swaps else None
+        self.symmetry = _Symmetry(swaps, self.open_links, self.pure_options)
 
 
 class _Symmetry:

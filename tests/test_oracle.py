@@ -28,7 +28,7 @@ from ontounpack import (
 )
 from ontounpack.core import identity_root
 
-from conftest import load_fixture, parse_ok
+from conftest import FIXTURES, load_fixture, parse_ok
 from test_worlds import MARRIAGE, SEVERITY, TOY
 
 
@@ -192,6 +192,14 @@ CASES = {
     "relator_conditions": ("healthcare_relator.onto",
                            {"Person": 1, "Organization": 1, "Treatment": 1,
                             "PathologicalCondition": 2}, {"Severity": (0, 1)}),
+    # three parts whose rows interleave: Device_0 < Organization_0 <
+    # PathologicalCondition_0 < Person_0 < Treatment_0 < Wear_0, so each
+    # world merges three lists
+    "three_parts": ((FIXTURES / "healthcare_relator.onto").read_text()
+                    + "kind Device\nmode Wear\n"
+                    + "characterization hasWear : Wear [0..1] -- [1..1] Device\n",
+                    {"Person": 1, "Organization": 1, "Treatment": 1, "PathologicalCondition": 1,
+                     "Device": 1, "Wear": 1}, {"Severity": (0, 1)}),
     # a cap over two kinds that no relation ties counts the instances of both
     "agent_cap": (AGENTS, {"Ka": 2, "Kb": 2, "Agent": 2}, {}),
     "event": ("healthcare_event.onto", {"Person": 1, "Organization": 1, "Treatment": 1}, {}),

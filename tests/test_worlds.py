@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import re
 import weakref
@@ -388,6 +389,33 @@ def test_scope_refuses_values_of_mixed_types():
     with pytest.raises(ValueError, match="values of quality 'Mood' mix types"):
         Scope(per_classifier={"Person": 2}, quality_values={"Mood": (1, "a")})
     Scope(quality_values={"Mood": ("a", "b"), "Severity": (1, 2)})  # per quality is fine
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"per_classifier": [("Person", 1), ("Person", 2)]},
+     "scope names classifier 'Person' more than once"),
+    ({"quality_values": [("Severity", (1,)), ("Severity", (2,))]},
+     "scope names quality 'Severity' more than once"),
+], ids=["classifier", "quality"])
+def test_scope_refuses_a_name_given_twice(kwargs, message):
+    # kept, the count's last entry and the values' first one would each win
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scope(**kwargs)
+    # a scope's own normalized fields still build it again (dataclasses.replace does so)
+    s = Scope(per_classifier={"Person": 1, "PathologicalCondition": 2}, default_count=1,
+              quality_values={"Severity": (1, 2)}, world_limit=7)
+    assert Scope(per_classifier=s.per_classifier, default_count=s.default_count,
+                 quality_values=s.quality_values, world_limit=s.world_limit) == s
+    assert dataclasses.replace(s, world_limit=8) == Scope(
+        per_classifier=s.per_classifier, default_count=1, quality_values=s.quality_values,
+        world_limit=8)
+
+
+@pytest.mark.parametrize("values", ["abc", b"abc", 5], ids=["str", "bytes", "int"])
+def test_scope_refuses_values_that_are_not_a_collection(values):
+    # a str or bytes would give one value per character, and an int no list at all
+    with pytest.raises(ValueError, match="scope values of quality 'Mood' must be a collection"):
+        Scope(quality_values={"Mood": values})
 
 
 @pytest.mark.parametrize("scope, message", [
