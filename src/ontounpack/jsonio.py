@@ -4,6 +4,11 @@ emit_json is byte-stable: keys sorted, declarations sorted by name, no
 volatile data. Source spans are deliberately not serialized; they locate
 declarations in DSL text and are not part of model structure. All JSON
 output, models and the CLI's documents alike, is written by iter_indented.
+Within one document it formats each distinct tuple of strs once per
+indentation and reuses the text, since the rows of a document of worlds
+repeat a few tuples of names many times; the memo is the call's own and is
+dropped when the document is written. Tuples holding anything but strs are
+formatted each time, because equal ones may be spelt differently.
 """
 from __future__ import annotations
 
@@ -67,12 +72,28 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _text(value, newline: str) -> str:
+def _text(value, newline: str, memo: dict) -> str:
     """One value as json.dumps writes it, `newline` being its line start.
 
     Each container is joined as soon as it is written, so no list of small
-    pieces as long as the whole text is ever held.
+    pieces as long as the whole text is ever held. The text of a tuple of
+    exact strs is kept in `memo` under (newline, tuple) (see iter_indented).
     """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is tuple:
+        try:
+            return memo[newline, value]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable: it holds a list or a dict
+            return _array_text(value, newline, memo)
+        text = _array_text(value, newline, memo)
+        # (1,), (1.0,) and (True,) are equal keys but three texts; no str equals them
+        if all(type(item) is str for item in value):
+            memo[newline, value] = text
+        return text
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -85,21 +106,27 @@ def _text(value, newline: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
-    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _array_text(value, newline, memo)
     if isinstance(value, dict):
         if not value:
             return "{}"
+        inner = newline + "  "
         items = [
-            encode_basestring_ascii(key) + ": " + _text(item, inner)
+            encode_basestring_ascii(key) + ": " + _text(item, inner, memo)
             for key, item in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _array_text(value, newline: str, memo: dict) -> str:
+    """A list or tuple as json.dumps writes it, `newline` being its line start."""
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    items = [_text(item, inner, memo) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def iter_indented(value):
@@ -112,13 +139,22 @@ def iter_indented(value):
     top-level list comes one item per piece, so a caller can write each
     item as soon as it is formatted; a top-level iterator (a generator, say)
     is written as a list, so its items need not exist before they are due.
+
+    The rows of a document of worlds repeat a few distinct tuples of names
+    many times over, so each tuple whose items are all exactly str is
+    formatted once per line start and its text reused. The memo lives for
+    this one call and is dropped with it; nothing is kept across documents.
+    Only all-str tuples are kept because equal tuples of other items may be
+    written differently: (1,) == (1.0,) == (True,), but they are written
+    as 1, 1.0 and true.
     """
+    memo: dict = {}
     if not isinstance(value, (list, tuple)) and not hasattr(value, "__next__"):
-        yield _text(value, "\n")
+        yield _text(value, "\n", memo)
         return
     lead = "[\n  "
     for item in value:
-        yield lead + _text(item, "\n  ")
+        yield lead + _text(item, "\n  ", memo)
         lead = ",\n  "
     yield "[]" if lead[0] == "[" else "\n]"  # "[" still leads: no items
 

@@ -133,7 +133,9 @@ class Scope:
     else raises ValueError. Both fields take a dict or (name, entry) pairs; a
     name given twice raises ValueError, since no entry would be the one that
     wins, as do a quality's values given as a str or bytes (which would be
-    split into characters) or as anything not iterable.
+    split into characters) or as anything not iterable, and a value given
+    twice for one quality, which would give no world more and only repeat
+    work (so `Severity=(1, 1)` is refused, where it was once kept as given).
     """
 
     per_classifier: tuple = ()
@@ -160,6 +162,10 @@ class Scope:
             # worlds sort by their value rows, and values of two types may not compare
             if len({type(v) for v in vs}) > 1:
                 raise ValueError(f"scope values of quality '{q}' mix types: {vs!r}")
+            # a value given twice gives no world more, only repeated work
+            for v in vs:
+                if vs.count(v) > 1:
+                    raise ValueError(f"scope values of quality '{q}' give {v!r} more than once")
             qv.append((q, vs))
         for what, names in [("classifier", [n for n, _ in per]), ("quality", [q for q, _ in qv])]:
             for name in names:
@@ -211,11 +217,17 @@ class InstanceWorld:
         return [i for i in self.ids if classifier in self.types.get(i, frozenset())]
 
     def to_dict(self) -> dict:
+        """The world as JSON data, its rows the world's own tuples.
+
+        Rows and type lists are tuples, not lists; the JSON writer spells a
+        tuple as a list, so the document is byte for byte the one their
+        list copies would give, and equal rows are formatted once.
+        """
         return {
-            "individuals": [list(row) for row in self.individuals],
-            "typeAssignments": {ind: list(ts) for ind, ts in self.type_rows},
-            "links": [list(row) for row in self.links],
-            "qualityValues": [list(row) for row in self.value_rows],
+            "individuals": self.individuals,
+            "typeAssignments": dict(self.type_rows),
+            "links": self.links,
+            "qualityValues": self.value_rows,
         }
 
 

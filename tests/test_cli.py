@@ -350,6 +350,15 @@ def test_quality_values_of_mixed_types_exit_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "lint"])
+def test_a_quality_value_given_twice_exits_2(capsys, command):
+    code, out, err = run(capsys, command, RELATOR, "--scope-default", "1",
+                         "--quality-values", "Severity={1,1}")
+    assert code == 2
+    assert out == ""
+    assert "scope values of quality 'Severity' give 1 more than once" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "lint"])
 @pytest.mark.parametrize("flag, text, message", [
     ("--scope", "Persn=1", "scope names unknown classifier 'Persn'"),
     ("--quality-values", "Sevrity={500}", "scope values name unknown quality 'Sevrity'"),
@@ -602,6 +611,19 @@ def test_main_without_subcommand_exits_2():
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 2  # no subcommand given
+
+
+def test_python_dash_m_runs_the_cli():
+    # the console script needs an install; `python -m ontounpack` needs only the source
+    package_root = str(Path(ontounpack.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontounpack", "simulate", RELATOR, "--format", "json",
+         "--scope-default", "1"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)) == 28
 
 
 def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):

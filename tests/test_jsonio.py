@@ -459,6 +459,12 @@ WRITER_VALUES = st.recursive(
 @example(()).via("empty tuple")
 @example([[], {}, ()]).via("nested empty containers")
 @example({"a": [], "b": {}, "c": [[{}]]}).via("empty containers in an object")
+# the writer keeps each all-str tuple's text per line start; the strategy
+# rarely draws two equal tuples, so these repeat them on purpose
+@example([("a", "b"), [("a", "b")]]).via("one tuple of strs at two depths")
+@example([(1,), (True,), (1.0,)]).via("equal rows of int, bool and float")
+@example([("1",), (1,)]).via("a row of str beside a row of int")
+@example((["a"], ["a"])).via("an unhashable tuple given twice")
 def test_dumps_indented_is_json_dumps_sorted_and_indented(value):
     expected = json.dumps(value, sort_keys=True, indent=2)
     assert dumps_indented(value) == expected

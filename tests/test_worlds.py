@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import re
 import weakref
 from collections import Counter
@@ -36,6 +37,7 @@ from ontounpack import (
 )
 
 from ontounpack.core import Multiplicity, identity_root
+from ontounpack.jsonio import dumps_indented
 from ontounpack.worlds import MAX_TOTAL_INDIVIDUALS
 
 from conftest import assert_no_isomorphic_pair, load_fixture, parse_ok
@@ -97,6 +99,28 @@ def test_relator_fixture_scope_one(relator_model):
     # hand-verified census: 28 distinct configurations at one individual per base
     worlds = enumerate_worlds(relator_model, Scope(default_count=1, world_limit=10**9))
     assert len(worlds) == 28
+
+
+def test_to_dict_hands_over_the_worlds_own_rows(relator_model):
+    # the JSON writer spells a tuple as a list, so the rows need no list copies
+    scope = Scope(default_count=1, quality_values={"Severity": (1, 2)}, world_limit=10**9)
+    worlds = enumerate_worlds(relator_model, scope)
+    assert any(w.links for w in worlds) and any(w.value_rows for w in worlds)
+    docs = [w.to_dict() for w in worlds]
+    for w, doc in zip(worlds, docs):
+        assert doc["individuals"] is w.individuals
+        assert doc["links"] is w.links
+        assert doc["qualityValues"] is w.value_rows
+        assert list(doc["typeAssignments"]) == [ind for ind, _ in w.type_rows]
+        assert all(doc["typeAssignments"][ind] is ts for ind, ts in w.type_rows)
+    as_lists = [{
+        "individuals": [list(row) for row in w.individuals],
+        "typeAssignments": {ind: list(ts) for ind, ts in w.type_rows},
+        "links": [list(row) for row in w.links],
+        "qualityValues": [list(row) for row in w.value_rows],
+    } for w in worlds]
+    assert dumps_indented(docs) == dumps_indented(as_lists)
+    assert dumps_indented(docs) == json.dumps(as_lists, sort_keys=True, indent=2)
 
 
 def test_severity_model_world_count():
@@ -409,6 +433,16 @@ def test_scope_refuses_a_name_given_twice(kwargs, message):
     assert dataclasses.replace(s, world_limit=8) == Scope(
         per_classifier=s.per_classifier, default_count=1, quality_values=s.quality_values,
         world_limit=8)
+
+
+@pytest.mark.parametrize("values", [(1, 1), (1, 2, 1), ("a", "b", "b")],
+                         ids=["twice", "apart", "label"])
+def test_scope_refuses_a_value_given_twice(values):
+    # a repeated value gives no world more; it only repeats the work for it
+    repeated = values[-1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"scope values of quality 'Severity' give {repeated!r} more than once")):
+        Scope(quality_values={"Severity": values})
 
 
 @pytest.mark.parametrize("values", ["abc", b"abc", 5], ids=["str", "bytes", "int"])
