@@ -255,6 +255,9 @@ _RelationsByName = dict[str, tuple[RelationDecl, ...]]
 class Model:
     """A resolved conceptual model. Treat as immutable.
 
+    Truthmakers (mediations_of, anchoring) and grounds (grounding, grounds)
+    are the model's own: rules, unpack and the world finder read them here.
+
     Derived data is memoized on the instance: the taxonomy maps below, the
     relation index (relations by source and by target name, read by
     relations_from / relations_to), and one world-layer entry holding the
@@ -374,6 +377,36 @@ class Model:
             ),
             key=lambda r: r.name,
         )
+
+    def anchoring(self, relator: str, end: str) -> list[str]:
+        """Names of the relator's mediations that can bind a material relation's
+        `end`: those targeting it, an ancestor or a descendant, by name."""
+        near = self.ancestors_or_self(end) | self.descendants(end)
+        return [m.name for m in self.mediations_of(relator) if m.target in near]
+
+    def grounding(self, quality: str) -> tuple[list[RelationDecl], list[tuple[str, bool]]]:
+        """What grounds `quality` in a world, as (direct, modes).
+
+        `direct`: the quality's characterizations, in declaration order.
+        `modes`: (name, whether the mode must have a value) of each
+        characterization of a mode the quality characterizes, itself or
+        through an ancestor; by mode name, then by name.
+        """
+        direct = [r for r in self.relations_from(quality)
+                  if r.stereotype is RelationStereotype.CHARACTERIZATION]
+        required: dict[str, bool] = {}
+        for d in direct:
+            for mode in self.descendants_or_self(d.target):
+                if mode in self.classifiers and self.stereotype_of(mode) is Stereotype.MODE:
+                    required[mode] = required.get(mode, False) or d.source_mult.min >= 1
+        return direct, [(mc.name, required[mode]) for mode in sorted(required)
+                        for mc in self.characterizations_of(mode)]
+
+    def grounds(self, quality: str, end: str) -> bool:
+        """Can an individual of `end` have a value of `quality` (see grounding)?"""
+        up = self.ancestors_or_self(end)
+        return any(r.target in up for r in self.characterizations_of(quality)) or any(
+            self.relations[name].target in up for name, _ in self.grounding(quality)[1])
 
 
 def rigidity(classifier: Classifier) -> Rigidity:

@@ -1,8 +1,10 @@
 """Well-formedness rule catalog (R1..R10) over resolved models.
 
 Each rule is a pure predicate; `check` collects violations as Diagnostics in a
-deterministic order. Severity Info never comes out of `check` — it exists for
-the anti-pattern linter, which reuses the Diagnostic type.
+deterministic order. R7 and R9 read a material relation's truthmakers and a
+comparative's grounds off the Model, as the world finder does. Severity Info
+never comes out of `check` — it exists for the anti-pattern linter, which
+reuses the Diagnostic type.
 """
 from __future__ import annotations
 
@@ -73,20 +75,6 @@ _NEEDS_KIND = frozenset({
 })
 
 
-def _grounds(model: Model, quality: str, end: str) -> bool:
-    """Does `quality` characterize `end` directly or through one mode hop?"""
-    up = model.ancestors_or_self(end)
-    for c1 in model.characterizations_of(quality):
-        if c1.target in up:
-            return True
-        mid = model.classifiers.get(c1.target)
-        if mid is not None and mid.stereotype is Stereotype.MODE:
-            for c2 in model.characterizations_of(c1.target):
-                if c2.target in up:
-                    return True
-    return False
-
-
 def check(model: Model) -> list[Diagnostic]:
     """Evaluate the whole rule catalog. Empty result iff well-formed."""
     out: list[Diagnostic] = []
@@ -140,14 +128,16 @@ def check(model: Model) -> list[Diagnostic]:
                 f"rigid '{c.name}' specializes anti-rigid '{bad[0]}'", tuple(bad),
             ))
 
+    def targeting(name: str):  # relations whose target is `name` or an ancestor of it
+        return (r for a in model.ancestors_or_self(name) for r in model.relations_to(a))
+
     # R4: role-family classifiers are (possibly by inheritance) targets of a
     # mediation or participation — they owe their instances to one.
-    targeted = {
-        r.target for r in model.relations.values()
-        if r.stereotype in (RelationStereotype.MEDIATION, RelationStereotype.PARTICIPATION)
-    }
+    binding = (RelationStereotype.MEDIATION, RelationStereotype.PARTICIPATION)
     for c in classifiers.values():
-        if c.stereotype in ROLE_FAMILY and not (model.ancestors_or_self(c.name) & targeted):
+        if c.stereotype in ROLE_FAMILY and not any(
+            r.stereotype in binding for r in targeting(c.name)
+        ):
             out.append(Diagnostic(
                 "R4", err, c.span,
                 f"'{c.name}' is relationally dependent but no mediation or participation targets it",
@@ -194,13 +184,9 @@ def check(model: Model) -> list[Diagnostic]:
         rel_cls = classifiers.get(relator)
         if rel_cls is None or rel_cls.stereotype is not Stereotype.RELATOR:
             continue  # already an R6 violation
-        meds = model.mediations_of(relator)
-
-        def compatible(end: str) -> bool:
-            family = model.ancestors_or_self(end) | model.descendants(end)
-            return any(m.target in family for m in meds)
-
-        failing = [e for e in dict.fromkeys((r.source, r.target)) if not compatible(e)]
+        failing = [
+            e for e in dict.fromkeys((r.source, r.target)) if not model.anchoring(relator, e)
+        ]
         if failing:
             out.append(Diagnostic(
                 "R7", err, r.span,
@@ -232,7 +218,7 @@ def check(model: Model) -> list[Diagnostic]:
                 tuple(uncovered),
             ))
 
-    # R9: comparatives are grounded in an ordered quality characterizing both ends.
+    # R9: comparatives are grounded in an ordered quality both ends have (Model.grounds).
     for r in model.relations.values():
         if r.stereotype is not RelationStereotype.COMPARATIVE:
             continue
@@ -251,7 +237,7 @@ def check(model: Model) -> list[Diagnostic]:
                 f"quality '{q}' of comparative '{r.name}' has no ordered space", (q,),
             ))
             continue
-        failing = [e for e in dict.fromkeys((r.source, r.target)) if not _grounds(model, q, e)]
+        failing = [e for e in dict.fromkeys((r.source, r.target)) if not model.grounds(q, e)]
         if failing:
             out.append(Diagnostic(
                 "R9", err, r.span,
@@ -261,14 +247,12 @@ def check(model: Model) -> list[Diagnostic]:
             ))
 
     # R10: historical roles need an actual participation in a declared event.
-    event_targets = {
-        r.target for r in model.relations.values()
-        if r.stereotype is RelationStereotype.PARTICIPATION
-        and classifiers.get(r.source) is not None
-        and classifiers[r.source].stereotype is Stereotype.EVENT
-    }
     for c in classifiers.values():
-        if c.stereotype in HISTORICAL and not (model.ancestors_or_self(c.name) & event_targets):
+        if c.stereotype in HISTORICAL and not any(
+            r.stereotype is RelationStereotype.PARTICIPATION
+            and r.source in classifiers and classifiers[r.source].stereotype is Stereotype.EVENT
+            for r in targeting(c.name)
+        ):
             out.append(Diagnostic(
                 "R10", err, c.span,
                 f"historical role '{c.name}' has no participation tying it to an event",

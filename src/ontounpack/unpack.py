@@ -33,7 +33,6 @@ from .errors import (
     UnpackError,
 )
 from .jsonio import classifier_dict, relation_dict, space_dict
-from .rules import _grounds
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def unpack_comparative(
     new_relations: list[RelationDecl] = []
     ends = list(dict.fromkeys((rel.source, rel.target)))
     already_grounded = existing is not None and all(
-        _grounds(model, quality_name, e) for e in ends
+        model.grounds(quality_name, e) for e in ends
     )
     if not already_grounded:
         target = _characterization_target(model, rel)

@@ -283,7 +283,10 @@ _STORED = (
 
 
 class _Prep:
-    """Tables derived from a model alone, built once per Model instance (see _prep)."""
+    """Tables derived from a model alone, built once per Model instance (see _prep).
+
+    Truthmakers and grounds are the Model's own; _Prep keeps those it reads.
+    """
 
     def __init__(self, model: Model):
         self.model = model
@@ -304,13 +307,12 @@ class _Prep:
 
         # classifiers whose membership is derived from links (role family with
         # a defining relation targeting them exactly)
+        binding = (RelationStereotype.MEDIATION, RelationStereotype.PARTICIPATION)
         self.defining: dict[str, list[str]] = {}
-        for r in model.relations.values():
-            if r.stereotype in (RelationStereotype.MEDIATION, RelationStereotype.PARTICIPATION):
-                if cls.get(r.target) is not None and cls[r.target].stereotype in ROLE_FAMILY:
-                    self.defining.setdefault(r.target, []).append(r.name)
-        for names in self.defining.values():
-            names.sort()
+        for name, c in cls.items():
+            names = sorted(r.name for r in model.relations_to(name) if r.stereotype in binding)
+            if names and c.stereotype in ROLE_FAMILY:
+                self.defining[name] = names
         self.justified: frozenset[str] = frozenset(self.defining)
 
         self.free: dict[str, list[str]] = {
@@ -349,14 +351,9 @@ class _Prep:
         ]
 
         # material relations and their end-compatible mediations
-        def anchoring(r: RelationDecl, end: str) -> list[str]:
-            near = model.ancestors_or_self(end) | model.descendants(end)
-            return [m.name for m in model.mediations_of(r.derived_from.relator) if m.target in near]
-
         self.materials: list[tuple[RelationDecl, list[str], list[str]]] = [
-            (r, anchoring(r, r.source), anchoring(r, r.target))
-            for r in rels
-            if r.derived_from is not None
+            (r, *(model.anchoring(r.derived_from.relator, e) for e in (r.source, r.target)))
+            for r in rels if r.derived_from is not None
         ]
 
         # bases whose individuals can be link targets (not packable as options),
@@ -374,24 +371,9 @@ class _Prep:
         self.pure_bases: list[str] = [b for b in self.bases if b not in targeted]
         self.open_bases: list[str] = [b for b in self.bases if b in targeted]
 
-        # what grounds a comparative's quality: its direct characterizations in
-        # declaration order, and (name, value required) of each mode
-        # characterization whose mode one of them characterizes
-        chars = [r for r in model.relations.values()
-                 if r.stereotype is RelationStereotype.CHARACTERIZATION]
-        self.groundings: dict[str, tuple[list[RelationDecl], list[tuple[str, bool]]]] = {}
-        for q in {r.via.quality for r in model.relations.values() if r.via is not None}:
-            direct = [c for c in chars if c.source == q]
-            modes = []
-            for mc in chars:
-                if not characterizes(mc, Stereotype.MODE):
-                    continue
-                grounding = [d for d in direct if d.target in model.ancestors_or_self(mc.source)]
-                if grounding:
-                    modes.append((mc.name, any(
-                        d.source_mult.min >= 1 for d in grounding
-                    )))
-            self.groundings[q] = (direct, modes)
+        # what grounds each comparative's quality (Model.grounding)
+        self.groundings = {r.via.quality: model.grounding(r.via.quality) for r in rels
+                           if r.via is not None}
 
     @cached_property
     def errors(self) -> list[Diagnostic]:

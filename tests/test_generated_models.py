@@ -2,12 +2,14 @@
 
 A Hypothesis strategy writes small DSL models: one or two kinds, subkinds,
 phases and roles under them, and optionally a relator with two mediations
-and a material relation derived from it, a genset, a mode, a quality with
-an ordered 0..1 space, a comparative over that quality, and a cross-flavour
-specialization. A model is kept only when `check` finds no Error. Every
-world at a tiny scope must pass `validate_world`, and at four or fewer
-individuals the worlds must be the oracle's orbit representatives
-(tests/test_oracle.py), one world per isomorphism class.
+and a material relation derived from it, a genset, a mode (with a submode
+characterizing a sortal of its own), a quality with an ordered 0..1 space
+(on the mode when there is a submode), a comparative over that quality,
+and a cross-flavour specialization. A model is kept only when `check` finds
+no Error. Every world at a tiny scope must pass `validate_world`, at four
+or fewer individuals the worlds must be the oracle's orbit representatives
+(tests/test_oracle.py), one world per isomorphism class, and each
+comparative's metaproperties are checked under both readings.
 """
 from __future__ import annotations
 
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ontounpack import Model, Scope, enumerate_worlds, validate_world
+from ontounpack import (
+    Model, RelationStereotype, Scope, check_metaproperties, enumerate_worlds, validate_world,
+)
 from ontounpack.rules import check, has_errors
 
 from conftest import parse_ok
@@ -56,22 +60,30 @@ def models(draw) -> tuple[str, dict[str, int], dict[str, tuple]]:
         flags = draw(st.sampled_from(["", "disjoint ", "complete ", "disjoint complete "]))
         lines.append(f"genset G {flags}general {general} specifics {', '.join(subs[general])}")
     bearers = list(sortals)
+    submode_bearer = None
     if draw(st.booleans()):
         bases.append("M")
         lines.append("mode M")
         lines.append(f"characterization hasM : M [{draw(st.sampled_from(('0..1', '0..*')))}]"
                      f" -- [1..1] {draw(st.sampled_from(sortals))}")
         bearers.append("M")
+        if draw(st.booleans()):
+            # a submode with a bearer of its own, which has Q through M
+            submode_bearer = draw(st.sampled_from(sortals))
+            lines.append("mode N specializes M")
+            lines.append(f"characterization hasN : N [{draw(st.sampled_from(('0..1', '0..*')))}]"
+                         f" -- [1..1] {submode_bearer}")
     values = {}
     if draw(st.booleans()):
-        bearer = draw(st.sampled_from(bearers))
+        bearer = "M" if submode_bearer else draw(st.sampled_from(bearers))
         lines += ["quality Q", "space Q ordered 0..1"]
         lines.append(f"characterization hasQ : Q [{draw(st.sampled_from(('0..1', '1..1')))}]"
                      f" -- [1..1] {bearer}")
         values = {"Q": (0, 1)}
         if draw(st.booleans()):
             order = draw(st.sampled_from(["asc", "desc"]))
-            lines.append(f"comparative beats : {bearer} -- {bearer} via Q {order}")
+            end = draw(st.sampled_from([submode_bearer, bearer] if submode_bearer else [bearer]))
+            lines.append(f"comparative beats : {end} -- {end} via Q {order}")
     if draw(st.integers(0, 3)) == 0:
         lines.append(draw(st.sampled_from([
             f"mode X specializes {draw(st.sampled_from(sortals))}",
@@ -131,3 +143,9 @@ def test_generated_models_give_valid_worlds_and_the_oracles(drawn):
     model = parse_ok(text)
     assume(not has_errors(check(model)))
     assert_worlds_are_valid_and_the_oracles(model, per, values)
+    # what R9 accepts, eval_comparative can ground in every world
+    scope = Scope(per_classifier=per, quality_values=values)
+    for r in model.relations.values():
+        if r.stereotype is RelationStereotype.COMPARATIVE:
+            for strict in (True, False):
+                check_metaproperties(model, r.name, scope, strict=strict)

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used or re-exported, every
-module-level private name is read somewhere in the package, every name the
+module-level private name is read somewhere in the package, no module imports
+another's private name off a short list, every name the
 benchmark's tracer wraps exists, and a `lint` run calls each name the tracer
 expects of the `lint_clinic` workload."""
 from __future__ import annotations
@@ -81,6 +82,45 @@ def test_finds_an_unread_private_name():
         "b": "from .a import _Kept\nprint(_used())\n",
     }
     assert unread_private_names(sources) == ["a._left", "a._LIMIT"]
+
+
+# the only module-private names one module may import from another: the
+# JSON loader builds the parser's raw declarations and resolves them as the
+# parser does, and lint opens a world walk to refuse a scope
+PRIVATE_IMPORTS = {
+    *(("jsonio", "parser", name) for name in (
+        "_RawClassifier", "_RawGenset", "_RawRelation", "_RawSpace", "_resolve",
+    )),
+    ("lint", "worlds", "_worlds"),
+}
+
+
+def private_imports(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(importer, module, name) for each `from .module import _name` in `sources`."""
+    found = []
+    for importer, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    (importer, node.module or "", a.name) for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")
+                ]
+    return found
+
+
+def test_no_module_imports_a_private_name_off_the_list():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    found = private_imports(sources)
+    assert sorted(set(found) - PRIVATE_IMPORTS) == []
+    assert set(found) == PRIVATE_IMPORTS  # a name no longer imported leaves the list
+
+
+def test_finds_a_private_import():
+    sources = {
+        "a": "from .b import _x, y\nfrom . import c\nfrom os import _exit\n",
+        "b": "def f():\n    from .c import _z as z\n    from __future__ import annotations\n",
+    }
+    assert private_imports(sources) == [("a", "b", "_x"), ("b", "c", "_z")]
 
 
 def test_every_traced_boundary_names_a_callable(monkeypatch):

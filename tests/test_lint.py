@@ -76,6 +76,19 @@ def test_ap1_silent_when_kinds_differ(relator_model):
     assert ap(diags, "AP1") == []
 
 
+def test_ap1_reports_a_pair_a_sub_relator_inherits_once():
+    # HomeCare inherits Care's two mediations: the pair is Care's finding alone
+    model = parse_ok(
+        "model Care\n\nkind Person\nrole Patient specializes Person\n"
+        "role Carer specializes Person\nrelator Care\nrelator HomeCare specializes Care\n"
+        "mediation cares : Care [1..*] -- [1..1] Patient\n"
+        "mediation caredBy : Care [1..*] -- [1..1] Carer\n"
+    )
+    (finding,) = ap(lint(model, Scope(default_count=2)), "AP1")
+    assert finding.severity is Severity.WARNING
+    assert finding.related == ("caredBy", "cares") and "of the same 'Care'" in finding.message
+
+
 def test_ap1_info_when_scope_starves_the_witness(event_model):
     # structurally matched, but a single person cannot fill both ends of
     # anything when no treatment exists

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from ontounpack import InstanceWorld, Model, RelationStereotype, Scope, check_metaproperties
+from ontounpack import (
+    InstanceWorld, Model, RelationStereotype, Scope, check, check_metaproperties,
+    enumerate_worlds, validate_world,
+)
 from ontounpack.worlds import _counterexample, _worlds, eval_comparative
 
 from conftest import load_fixture, parse_ok
@@ -39,6 +42,20 @@ TRIAGE = (
 )
 
 LIKES = "model Likes\n\nkind Person\ninternal likes : Person [0..*] -- [0..*] Person\n"
+
+# Severity characterizes Condition, and a Chronic condition is one, so a
+# Person with a Chronic condition has that condition's Severity
+SUBMODE = (
+    "model Submode\n\n"
+    "kind Person\n"
+    "mode Condition\n"
+    "mode Chronic specializes Condition\n"
+    "quality Severity\n"
+    "space Severity ordered 0..9\n"
+    "characterization hasSeverity : Severity [1..1] -- [1..1] Condition\n"
+    "characterization hasChronic : Chronic [0..*] -- [1..1] Person\n"
+    "comparative worseOff : Person -- Person via Severity desc\n"
+)
 
 
 def reference_check_metaproperties(
@@ -135,3 +152,31 @@ def test_an_internal_relation_is_searched():
     lax = check_metaproperties(model, "likes", scope, strict=False)
     assert observed(lax) == observed(report) and lax.entailed == ()
 
+
+def test_a_comparative_grounded_through_a_submode_is_checked_as_it_is_simulated():
+    # R9 grounds worseOff's Persons through Chronic, as the world finder does
+    model = parse_ok(SUBMODE)
+    assert check(model) == []
+    scope = Scope(per_classifier={"Person": 2, "Condition": 2},
+                  quality_values={"Severity": (1, 5)}, world_limit=10**9)
+    worlds = enumerate_worlds(model, scope)
+    assert len(worlds) == 39
+    assert all(validate_world(model, w, scope) == [] for w in worlds)
+    assert any(eval_comparative(w, model, "worseOff") for w in worlds)
+    lax = check_metaproperties(model, "worseOff", scope, strict=False)
+    assert lax.asymmetric is False and lax.counterexample("asymmetric") is not None
+
+
+def test_a_report_gives_each_counterexample_it_found_and_none_for_a_property_that_holds():
+    model = parse_ok(TRIAGE)
+    scope = Scope(per_classifier={"Person": 2, "PathologicalCondition": 2},
+                  quality_values={"Urgency": (1, 5)})
+    lax = check_metaproperties(model, "seenBefore", scope, strict=False)
+    assert lax.transitive is True and lax.counterexample("transitive") is None
+    assert lax.to_dict()["counterexamples"] == [
+        {"property": name, "world": world.to_dict(), "individuals": list(ids)}
+        for name, world, ids in lax.counterexamples
+    ]
+    assert [c["property"] for c in lax.to_dict()["counterexamples"]] == [
+        "asymmetric", "irreflexive",
+    ]

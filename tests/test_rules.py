@@ -96,14 +96,18 @@ MUTANTS = {
 }
 
 
-# further R9 shapes the DSL can spell, each with the one message it must give
-R9_CASES = {
+# further shapes the DSL can spell, each with its rule and the one message it must give
+MORE_CASES = {
+    "R1-several-kinds": (
+        "R1", RELATOR_TEXT + "\nkind Robot\nsubkind Cyborg specializes Person, Robot\n",
+        "'Cyborg' reaches several kinds: Person, Robot",
+    ),
     "R9-via-not-a-quality": (
-        "model T\n\nmode M\nkind K\ncomparative c : M -- M via K desc\n",
+        "R9", "model T\n\nmode M\nkind K\ncomparative c : M -- M via K desc\n",
         "viaQuality 'K' of comparative 'c' is not a quality",
     ),
     "R9-end-not-grounded": (
-        "model T\n\nmode M\nmode N\nquality Q\nspace Q ordered 0..9\n"
+        "R9", "model T\n\nmode M\nmode N\nquality Q\nspace Q ordered 0..9\n"
         "characterization hasQ : Q [1..1] -- [1..1] M\ncomparative c : M -- N via Q desc\n",
         "quality 'Q' does not ground end(s) N of comparative 'c'",
     ),
@@ -112,7 +116,7 @@ R9_CASES = {
 
 @pytest.mark.parametrize("rule_id, text, message", [
     *(pytest.param(r, MUTANTS[r], None, id=r) for r in sorted(MUTANTS, key=lambda r: int(r[1:]))),
-    *(pytest.param("R9", text, message, id=case) for case, (text, message) in R9_CASES.items()),
+    *(pytest.param(r, text, message, id=case) for case, (r, text, message) in MORE_CASES.items()),
 ])
 def test_mutant_triggers_exactly_one_diagnostic(rule_id, text, message):
     diags = check(parse_ok(text))

@@ -68,6 +68,9 @@ def _relator_model(sa, ta, sb, tb):
         # a lower bound of zero propagates from optional membership
         ("[0..*]", "[1..1]", "[1..2]", "[1..1]",
          ("[1..2]", "[0..*]", "[1..2]")),
+        # the same with the ends swapped: the bounded side caps tuples per pair
+        ("[1..2]", "[1..1]", "[0..*]", "[1..1]",
+         ("[0..*]", "[1..2]", "[1..2]")),
     ],
 )
 def test_derived_cardinalities(sa, ta, sb, tb, expected):
@@ -202,6 +205,16 @@ def test_unpack_comparative_grounds_material():
     assert after.relations["hasAge"].stereotype is RelationStereotype.CHARACTERIZATION
 
 
+def test_unpack_comparative_grounds_two_phases_in_their_shared_kind():
+    m = parse_ok("model T\n\nkind Person\nphase Adult specializes Person\n"
+                 "phase Child specializes Person\n"
+                 "genset Stage disjoint complete general Person specifics Adult, Child\n"
+                 "material olderThan : Adult [0..*] -- [0..*] Child\n")
+    after = apply_plan(m, unpack_comparative(m, "olderThan", "Age", ORDERED, Direction.DESC))
+    assert after.relations["hasAge"].target == "Person"
+    assert check(after) == []
+
+
 def test_unpack_comparative_accepts_direction_string():
     m = parse_ok("model T\n\nkind Person\nmaterial olderThan : Person [0..*] -- [0..*] Person\n")
     plan = unpack_comparative(m, "olderThan", "Age", ORDERED, "asc")
@@ -222,6 +235,20 @@ def test_unpack_comparative_reuses_grounded_quality():
                               Direction.DESC)
     assert plan.new_classifiers == ()
     assert plan.new_relations == ()
+    assert check(apply_plan(m, plan)) == []
+
+
+def test_unpack_comparative_reuses_a_quality_grounded_through_a_submode():
+    # a Person has a Chronic condition's Severity, as R9 and the world finder read it
+    m = parse_ok(
+        "model T\n\nkind Person\nmode Condition\nmode Chronic specializes Condition\n"
+        "quality Severity\nspace Severity ordered 0..9\n"
+        "characterization hasSeverity : Severity [1..1] -- [1..1] Condition\n"
+        "characterization hasChronic : Chronic [0..*] -- [1..1] Person\n"
+        "material worseOff : Person [0..*] -- [0..*] Person\n"
+    )
+    plan = unpack_comparative(m, "worseOff", "Severity", QualitySpace("Severity", (0, 9)), "desc")
+    assert (plan.new_classifiers, plan.new_relations) == ((), ())
     assert check(apply_plan(m, plan)) == []
 
 

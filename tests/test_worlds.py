@@ -472,6 +472,26 @@ def test_default_quality_values_are_lowest_three():
     assert seen == {0, 1, 2}
 
 
+MOODS = (
+    "model Moods\n\nkind Person\nquality Mood\n"
+    "characterization hasMood : Mood [1..1] -- [1..1] Person\n"
+)
+
+
+def test_default_nominal_values_are_the_first_three_labels():
+    m = parse_ok(MOODS + "space Mood nominal {calm, glad, sad, cross}\n")
+    worlds = enumerate_worlds(m, unlimited(Person=1))
+    assert sorted(v for w in worlds for _, _, v in w.value_rows) == ["calm", "glad", "sad"]
+
+
+def test_a_quality_without_a_space_needs_scope_values():
+    m = parse_ok(MOODS)
+    with pytest.raises(ValueError, match="'Mood' has no declared space and no scope values"):
+        enumerate_worlds(m, unlimited(Person=1))
+    assert len(enumerate_worlds(m, Scope(per_classifier={"Person": 1},
+                                         quality_values={"Mood": ("calm",)}))) == 2
+
+
 @pytest.mark.parametrize("people, count", [(1, 5), (2, 15), (3, 35)])
 def test_optional_values_on_a_pure_base_are_canonicalized_once(canonicalizations, people, count):
     # Person is never a link target, so its optional Mood is chosen with the

@@ -9,7 +9,9 @@ that names a classifier the model lacks is a run like any other (exit 2).
 
 Prints the count of each exit code and one sha256 over every run's argv,
 exit code, stdout and stderr. Two checkouts that print the same digest gave
-byte-identical output in every run.
+byte-identical output in every run. A second line gives the same kind of
+sha256 over `check --format json` on each of the 6 models, so the rule
+catalog's output is pinned too; these 6 runs are not in the exit-code counts.
 
     python3 tools/identity_matrix.py CHECKOUT_ROOT
 """
@@ -69,15 +71,11 @@ def runs(root: Path):
                 yield [*command, model, "--scope", scope, *values]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: identity_matrix.py CHECKOUT_ROOT", file=sys.stderr)
-        return 2
-    root = Path(argv[0]).resolve()
+def digest_of(root: Path, argvs, codes: Counter[int]) -> str:
+    """One sha256 over each run's argv, exit code, stdout and stderr; counts exit codes."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     digest = hashlib.sha256()
-    codes: Counter[int] = Counter()
-    for args in runs(root):
+    for args in argvs:
         done = subprocess.run([sys.executable, "-c", CLI, *args], cwd=root, env=env,
                               capture_output=True, check=False)
         codes[done.returncode] += 1
@@ -85,10 +83,22 @@ def main(argv: list[str]) -> int:
                      done.stdout, done.stderr):
             digest.update(len(part).to_bytes(8, "big"))
             digest.update(part)
+    return digest.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: identity_matrix.py CHECKOUT_ROOT", file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    codes: Counter[int] = Counter()
+    worlds = digest_of(root, runs(root), codes)
+    checks = digest_of(root, (["check", "--format", "json", model] for model in MODELS), Counter())
     print(f"runs: {sum(codes.values())}")
     for code, n in sorted(codes.items()):
         print(f"exit {code}: {n}")
-    print(f"sha256: {digest.hexdigest()}")
+    print(f"sha256: {worlds}")
+    print(f"check sha256: {checks}")
     return 0
 
 
