@@ -93,11 +93,11 @@ def _int(text: str, option: str) -> int | None:
 _QV_ENTRY = re.compile(r"([A-Za-z_]\w*)=\{([^{}]*)\}")
 
 
-def _parse_quality_values(text: str) -> dict[str, tuple]:
+def _parse_quality_values(text: str) -> list[tuple[str, tuple]]:
     matched = _QV_ENTRY.sub("", text).replace(",", "").strip()
     if matched:
         raise _Failure(2, f"bad --quality-values '{text}' (expected Name={{v1,v2,...}})")
-    out: dict[str, tuple] = {}
+    out = []  # pairs, so Scope refuses a quality given twice
     for name, body in _QV_ENTRY.findall(text):
         values = []
         for tok in body.split(","):
@@ -105,7 +105,7 @@ def _parse_quality_values(text: str) -> dict[str, tuple]:
             if tok:
                 number = _int(tok, "--quality-values")
                 values.append(tok if number is None else number)
-        out[name] = tuple(values)
+        out.append((name, tuple(values)))
     return out
 
 
@@ -119,7 +119,7 @@ def _build_scope(args) -> Scope:
             kwargs[field] = _int(text.strip(), option)
             if kwargs[field] is None:
                 raise _Failure(2, f"bad {option} '{text}' (expected INT)")
-    per: dict[str, int] = {}
+    per = []  # pairs, so Scope refuses a classifier given twice
     for part in (args.scope or "").split(","):
         part = part.strip()
         if not part:
@@ -128,8 +128,8 @@ def _build_scope(args) -> Scope:
         count = _int(num.strip(), "--scope")
         if not eq or count is None or "-" in num:
             raise _Failure(2, f"bad --scope entry '{part}' (expected Name=INT)")
-        per[name.strip()] = count
-    qv = _parse_quality_values(args.quality_values) if args.quality_values else {}
+        per.append((name.strip(), count))
+    qv = _parse_quality_values(args.quality_values) if args.quality_values else []
     try:
         return Scope(per_classifier=per, quality_values=qv, **kwargs)
     except ValueError as exc:

@@ -5,7 +5,7 @@ A Model is an immutable value. Mutating operations elsewhere in the package
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -260,10 +260,11 @@ class Model:
 
     Derived data is memoized on the instance: the taxonomy maps below, the
     relation index (relations by source and by target name, read by
-    relations_from / relations_to), and one world-layer entry holding the
-    tables the world finder, validate_world and eval_comparative read, and
-    the model's rule Errors, but no world (see worlds._prep). Mutating a
-    model after any of them is computed leaves them stale.
+    relations_from / relations_to), the rule catalog's result (see
+    rules.check), and one world-layer entry holding the tables the world
+    finder, validate_world and eval_comparative read, and the model's rule
+    Errors, but no world (see worlds._prep). Mutating a model after any of
+    them is computed leaves them stale.
     """
 
     name: str
@@ -472,16 +473,13 @@ def with_declarations(
     relations: tuple[RelationDecl, ...] = (),
     gensets: tuple[GeneralizationSet, ...] = (),
     spaces: tuple[QualitySpace, ...] = (),
-    replace_relations: tuple[RelationDecl, ...] = (),
 ) -> Model:
-    """A copy of `model` with extra declarations (and relation overrides)."""
+    """A copy of `model` with extra declarations; each replaces any of its name in place."""
     cls = dict(model.classifiers)
     for c in classifiers:
         cls[c.name] = c
     rels = dict(model.relations)
     for r in relations:
-        rels[r.name] = r
-    for r in replace_relations:
         rels[r.name] = r
     gs = dict(model.gensets)
     for g in gensets:
@@ -521,5 +519,4 @@ __all__ = [
     "identity_root",
     "new_model",
     "with_declarations",
-    "replace",
 ]

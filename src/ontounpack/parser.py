@@ -424,7 +424,8 @@ def _resolve(
     # specialization cycles make every taxonomy query meaningless: reject here
     state: dict[str, int] = {}  # 1 while on the walk's path, 2 once finished
 
-    def cyclic(start: str) -> bool:
+    def cyclic(start: str) -> str | None:
+        """The classifier where a walk up from `start` closes a cycle, if any."""
         # an explicit path, not recursion: taxonomies may be deep
         state[start] = 1
         path = [(start, iter(classifiers[start].parents))]
@@ -433,19 +434,20 @@ def _resolve(
             for par in parents:
                 if par in classifiers and state.get(par) != 2:
                     if state.get(par) == 1:
-                        return True
+                        return par
                     state[par] = 1
                     path.append((par, iter(classifiers[par].parents)))
                     break
             else:
                 state[name] = 2
                 path.pop()
-        return False
+        return None
 
     for name in sorted(classifiers):
-        if state.get(name) is None and cyclic(name):
+        closing = cyclic(name) if state.get(name) is None else None
+        if closing is not None:
             errors.append(ParseError(
-                classifiers[name].span, f"specialization cycle through '{name}'",
+                classifiers[closing].span, f"specialization cycle through '{closing}'",
             ))
             break
 
@@ -506,6 +508,12 @@ def _resolve(
         if len(rg.specifics) < 2:
             errors.append(ParseError(
                 rg.span, f"generalization set '{rg.name}' needs at least two specifics",
+            ))
+            ok = False
+        elif len({sp[0] for sp in rg.specifics}) != len(rg.specifics):
+            # a disjoint set would count a repeated specific twice against itself
+            errors.append(ParseError(
+                rg.span, f"specifics of generalization set '{rg.name}' must be distinct",
             ))
             ok = False
         if ok:

@@ -75,8 +75,23 @@ _NEEDS_KIND = frozenset({
 })
 
 
+_CHECK_MEMO = "_rule_check"
+
+
 def check(model: Model) -> list[Diagnostic]:
-    """Evaluate the whole rule catalog. Empty result iff well-formed."""
+    """Evaluate the whole rule catalog. Empty result iff well-formed.
+
+    The result is kept in the model's __dict__, as the world layer's tables
+    are (see worlds._prep), so the catalog runs once per Model instance; each
+    call returns a new list.
+    """
+    found = model.__dict__.get(_CHECK_MEMO)
+    if found is None:
+        found = model.__dict__[_CHECK_MEMO] = tuple(_run_rules(model))
+    return list(found)
+
+
+def _run_rules(model: Model) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     err = Severity.ERROR
     classifiers = model.classifiers

@@ -7,7 +7,7 @@ grounded in an ordered quality). Plans are applied with `apply_plan`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     ROLE_FAMILY,
@@ -21,7 +21,6 @@ from .core import (
     RelationStereotype,
     Stereotype,
     ViaQuality,
-    replace,
     with_declarations,
 )
 from .errors import (
@@ -37,17 +36,17 @@ from .jsonio import classifier_dict, relation_dict, space_dict
 
 @dataclass(frozen=True)
 class UnpackPlan:
-    """A pending rewrite of one relation; apply with apply_plan."""
+    """A pending rewrite of one relation: `relation` as the rewrite leaves it,
+    plus the declarations the rewrite adds. Apply with apply_plan."""
 
-    target_relation: str
+    relation: RelationDecl
     new_classifiers: tuple[Classifier, ...] = ()
     new_relations: tuple[RelationDecl, ...] = ()
     new_spaces: tuple[QualitySpace, ...] = ()
-    replaces: tuple[str, ...] = ()
-    set_derivation: Derivation | None = None
-    set_ends: tuple[str, str] | None = None
-    set_via: ViaQuality | None = None
-    reclassify: RelationStereotype | None = None
+
+    @property
+    def target_relation(self) -> str:
+        return self.relation.name
 
     def to_dict(self) -> dict:
         return {
@@ -55,11 +54,7 @@ class UnpackPlan:
             "newClassifiers": [classifier_dict(c) for c in self.new_classifiers],
             "newRelations": [relation_dict(r) for r in self.new_relations],
             "newSpaces": [space_dict(s) for s in self.new_spaces],
-            "replaces": list(self.replaces),
-            "setDerivation": None if self.set_derivation is None else self.set_derivation.to_dict(),
-            "setEnds": None if self.set_ends is None else list(self.set_ends),
-            "setVia": None if self.set_via is None else self.set_via.to_dict(),
-            "reclassify": None if self.reclassify is None else self.reclassify.value,
+            "relation": relation_dict(self.relation),
         }
 
 
@@ -117,12 +112,10 @@ def unpack_material(
             Multiplicity(1, None), Multiplicity(1, 1),
         ))
     return UnpackPlan(
-        target_relation=relation,
-        new_classifiers=tuple(new_classifiers),
-        new_relations=tuple(new_relations),
-        replaces=(relation,),
-        set_derivation=Derivation(relator_name, Multiplicity(1, None)),
-        set_ends=(roles[0], roles[1]),
+        replace(rel, derived_from=Derivation(relator_name, Multiplicity(1, None)),
+                source=roles[0], target=roles[1]),
+        tuple(new_classifiers),
+        tuple(new_relations),
     )
 
 
@@ -168,6 +161,7 @@ def unpack_comparative(
                 f"ordered space of '{quality_name}': upper bound {hi} is below lower bound {lo}"
             )
 
+    taken = _taken(model)
     new_classifiers: list[Classifier] = []
     new_spaces: list[QualitySpace] = []
     existing = model.classifiers.get(quality_name)
@@ -190,8 +184,7 @@ def unpack_comparative(
             raise UnorderedSpaceError(
                 f"comparative '{relation}' needs an ordered space, got nominal"
             )
-        if quality_name in model.relations:
-            raise NameClashError(f"name '{quality_name}' is already declared")
+        _claim(quality_name, taken)
         new_classifiers.append(Classifier(quality_name, Stereotype.QUALITY))
         new_spaces.append(QualitySpace(quality_name, space.ordered, None))
 
@@ -203,21 +196,18 @@ def unpack_comparative(
     if not already_grounded:
         target = _characterization_target(model, rel)
         char_name = f"has{quality_name}"
-        if char_name in _taken(model):
-            raise NameClashError(f"name '{char_name}' is already declared")
+        _claim(char_name, taken)
         new_relations.append(RelationDecl(
             char_name, RelationStereotype.CHARACTERIZATION, quality_name, target,
             Multiplicity(1, 1), Multiplicity(1, 1),
         ))
 
     return UnpackPlan(
-        target_relation=relation,
-        new_classifiers=tuple(new_classifiers),
-        new_relations=tuple(new_relations),
-        new_spaces=tuple(new_spaces),
-        replaces=(relation,),
-        set_via=ViaQuality(quality_name, Direction(direction)),
-        reclassify=RelationStereotype.COMPARATIVE,
+        replace(rel, stereotype=RelationStereotype.COMPARATIVE, source_mult=None,
+                target_mult=None, via=ViaQuality(quality_name, Direction(direction))),
+        tuple(new_classifiers),
+        tuple(new_relations),
+        tuple(new_spaces),
     )
 
 
@@ -238,26 +228,11 @@ def _characterization_target(model: Model, rel: RelationDecl) -> str:
 
 def apply_plan(model: Model, plan: UnpackPlan) -> Model:
     """Materialize a plan into a new model; the input model is untouched."""
-    # one replace: each step alone may give a shape RelationDecl refuses
-    changes: dict = {}
-    if plan.reclassify is not None:
-        changes["stereotype"] = plan.reclassify
-        if plan.reclassify is RelationStereotype.COMPARATIVE:
-            changes.update(source_mult=None, target_mult=None)
-    if plan.set_derivation is not None:
-        changes["derived_from"] = plan.set_derivation
-    if plan.set_ends is not None:
-        changes["source"], changes["target"] = plan.set_ends
-    if plan.set_via is not None:
-        changes["via"] = plan.set_via
-    target = model.relations.get(plan.target_relation)
-    replace_relations = (replace(target, **changes),) if target is not None and changes else ()
     return with_declarations(
         model,
         classifiers=plan.new_classifiers,
-        relations=plan.new_relations,
+        relations=(*plan.new_relations, plan.relation),
         spaces=plan.new_spaces,
-        replace_relations=replace_relations,
     )
 
 

@@ -117,9 +117,8 @@ from .rules import Diagnostic, Severity, check
 
 
 def _as_sorted_items(value) -> tuple:
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return tuple(value)
+    """A dict's items, or (name, entry) pairs, sorted by name; a repeated name stays."""
+    return tuple(sorted(value.items() if isinstance(value, dict) else value, key=itemgetter(0)))
 
 
 @dataclass(frozen=True)
@@ -130,12 +129,13 @@ class Scope:
     non-base classifier acts as a filter on that classifier's extension.
     default_count applies to bases only — listing a role caps it, omitting it
     does not. Every count and world_limit is an int (not a bool); anything
-    else raises ValueError. Both fields take a dict or (name, entry) pairs; a
-    name given twice raises ValueError, since no entry would be the one that
-    wins, as do a quality's values given as a str or bytes (which would be
-    split into characters) or as anything not iterable, and a value given
-    twice for one quality, which would give no world more and only repeat
-    work (so `Severity=(1, 1)` is refused, where it was once kept as given).
+    else raises ValueError. Both fields take a dict or (name, entry) pairs
+    and keep them sorted by name; a name given twice raises ValueError, since
+    no entry would be the one that wins, as do a quality's values given as a
+    str or bytes (which would be split into characters) or as anything not
+    iterable, and a value given twice for one quality, which would give no
+    world more and only repeat work (so `Severity=(1, 1)` is refused, where
+    it was once kept as given).
     """
 
     per_classifier: tuple = ()

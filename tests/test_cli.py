@@ -349,6 +349,18 @@ def test_quality_values_of_mixed_types_exit_2(capsys, tmp_path, command):
     assert "scope values of quality 'Mood' mix types" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--scope", "Person=1,Person=0"), "scope names classifier 'Person' more than once"),
+    (("--scope-default", "1", "--quality-values", "Severity={1},Severity={2}"),
+     "scope names quality 'Severity' more than once"),
+], ids=["scope", "quality_values"])
+def test_a_scope_name_given_twice_exits_2(capsys, argv, message):
+    # neither entry is the one that wins, as in Scope
+    code, out, err = run(capsys, "simulate", RELATOR, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "lint"])
 def test_a_quality_value_given_twice_exits_2(capsys, command):
     code, out, err = run(capsys, command, RELATOR, "--scope-default", "1",

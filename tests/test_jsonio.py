@@ -252,6 +252,9 @@ DECLARATION_RULES = [
      SUB_AB[0] + "kind B\ngenset G general A specifics S, B\n",
      json_doc(*SUB_AB[1], cls("B"), gensets=[genset("G", "A", "S", "B")]),
      "'B' does not specialize 'A'", "G"),
+    ("genset_specific_repeated", SUB_AB[0] + "genset G general A specifics S, S, U\n",
+     json_doc(*SUB_AB[1], gensets=[genset("G", "A", "S", "S", "U")]),
+     "specifics of generalization set 'G' must be distinct", "G"),
     ("duplicate_genset",
      SUB_AB[0] + "genset G general A specifics S, U\ngenset G general A specifics U, S\n",
      json_doc(*SUB_AB[1], gensets=[genset("G", "A", "S", "U"), genset("G", "A", "U", "S")]),

@@ -81,6 +81,20 @@ def test_genset_parsing():
     assert gs.specifics == ("Healthy", "Sick")
 
 
+def test_genset_refuses_a_repeated_specific():
+    # a disjoint set counts a repeated specific twice, so no Adult could exist
+    errs = parse_text(
+        "model T\n\nkind Person\n"
+        "phase Adult specializes Person\n"
+        "phase Child specializes Person\n"
+        "genset G disjoint general Person specifics Adult, Adult, Child\n"
+    )
+    assert isinstance(errs, list)
+    assert [(e.span.line, e.message) for e in errs] == [
+        (6, "specifics of generalization set 'G' must be distinct"),
+    ]
+
+
 def test_reserved_word_is_an_error():
     errs = parse_text("model T\n\nkind kind\n")
     assert isinstance(errs, list)
@@ -172,6 +186,17 @@ def test_deep_specialization_cycle_is_found():
     errs = parse_text(DEEP.replace("kind A0\n", "subkind A0 specializes A1499\n"))
     assert isinstance(errs, list)
     assert [e.message for e in errs] == ["specialization cycle through 'A0'"]
+
+
+def test_cycle_error_names_a_classifier_on_the_cycle():
+    # A only leads into the X-Y cycle, though the search starts from it
+    errs = parse_text(
+        "model T\n\nkind A specializes X\nkind X specializes Y\nkind Y specializes X\n"
+    )
+    assert isinstance(errs, list)
+    assert [(e.span.line, e.message) for e in errs] == [
+        (4, "specialization cycle through 'X'"),
+    ]
 
 
 def test_render_round_trip_all_fixtures():

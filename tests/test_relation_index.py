@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ontounpack import (
-    RelationStereotype, apply_plan, check, compare, parse_text, unpack_material,
+    RelationStereotype, Scope, apply_plan, check, compare, lint, parse_text, unpack_material,
 )
 from ontounpack.interop import leibniz_surface
 from ontounpack.lint import _binding_relations
@@ -164,3 +164,21 @@ def test_check_and_compare_scan_relations_a_fixed_number_of_times(build):
         rows = compare(left, right)
         assert len(rows) == len(left.classifiers)
         assert (left.relations.scans, right.relations.scans) == (1, 1), copies
+
+
+def test_one_lint_runs_the_rule_catalog_once():
+    # lint checks the model and its world queries refuse an ill-formed one; on
+    # a fresh Model the catalog must still run once, so lint scans what one
+    # check scans plus what its queries scan on a model already checked
+    text = (BENCH_MODELS / "clinic_lint.onto").read_text()
+    scope = Scope(per_classifier={"Person": 2, "Organization": 0, "Treatment": 1,
+                                  "Consultation": 1, "PathologicalCondition": 1},
+                  quality_values={"Severity": (3, 50, 97)})
+    checked = counting(parse_ok(text))
+    check(checked)
+    assert checked.relations.scans == CHECK_SCANS
+    lint(checked, scope)
+    queries = checked.relations.scans - CHECK_SCANS
+    fresh = counting(parse_ok(text))
+    lint(fresh, scope)
+    assert fresh.relations.scans == CHECK_SCANS + queries

@@ -117,8 +117,8 @@ def test_unpack_material_plan_shape(plain_model):
         assert r.source == "Treatment"
         assert r.source_mult == Multiplicity(1, None)
         assert r.target_mult == Multiplicity(1, 1)
-    assert plan.set_derivation is not None
-    assert plan.set_derivation.relator == "Treatment"
+    assert plan.relation.derived_from is not None
+    assert plan.relation.derived_from.relator == "Treatment"
 
 
 def test_unpack_material_roundtrip_clears_check(plain_model):
@@ -140,7 +140,7 @@ def test_unpack_material_moves_the_ends_onto_the_roles(plain_model):
         plain_model, "treatedBy",
         relator_name="Treatment", role_names=("Patient", "ProviderRole"),
     )
-    assert plan.set_ends == ("Patient", "ProviderRole")
+    assert (plan.relation.source, plan.relation.target) == ("Patient", "ProviderRole")
     after = apply_plan(plain_model, plan)
     treated = after.relations["treatedBy"]
     assert (treated.source, treated.target) == ("Patient", "ProviderRole")
@@ -194,8 +194,8 @@ def test_unpack_material_error_paths(relator_model, plain_model):
 def test_unpack_comparative_grounds_material():
     m = parse_ok("model T\n\nkind Person\nmaterial olderThan : Person [0..*] -- [0..*] Person\n")
     plan = unpack_comparative(m, "olderThan", "Age", ORDERED, Direction.DESC)
-    assert plan.reclassify is RelationStereotype.COMPARATIVE
-    assert plan.set_via is not None and plan.set_via.quality == "Age"
+    assert plan.relation.stereotype is RelationStereotype.COMPARATIVE
+    assert plan.relation.via is not None and plan.relation.via.quality == "Age"
     after = apply_plan(m, plan)
     assert check(after) == []
     rel = after.relations["olderThan"]
@@ -218,7 +218,7 @@ def test_unpack_comparative_grounds_two_phases_in_their_shared_kind():
 def test_unpack_comparative_accepts_direction_string():
     m = parse_ok("model T\n\nkind Person\nmaterial olderThan : Person [0..*] -- [0..*] Person\n")
     plan = unpack_comparative(m, "olderThan", "Age", ORDERED, "asc")
-    assert plan.set_via.direction is Direction.ASC
+    assert plan.relation.via.direction is Direction.ASC
     render_dsl(apply_plan(m, plan))  # serializable either way
 
 

@@ -22,6 +22,7 @@ from ontounpack import (
     IllFormedModelError,
     InstanceWorld,
     MissingQualityValueError,
+    RelationDecl,
     RelationStereotype,
     Scope,
     ScopeTooLargeError,
@@ -571,12 +572,16 @@ def test_a_model_from_apply_plan_gets_its_own_worlds():
     model = parse_ok(TOY)
     scope = unlimited(Person=1)
     assert len(enumerate_worlds(model, scope)) == 3
+    likes = RelationDecl("likes", RelationStereotype.INTERNAL, "Person", "Person",
+                         Multiplicity(0, None), Multiplicity(0, None))
     plan = UnpackPlan(
-        target_relation="",
+        relation=likes,
         new_classifiers=(Classifier("Sad", Stereotype.PHASE, ("Person",)),),
     )
-    grown = apply_plan(model, plan)
-    expected = enumerate_worlds(parse_ok(TOY + "phase Sad specializes Person\n"), scope)
+    grown = apply_plan(model, plan)  # a relation the model lacks is added
+    expected = enumerate_worlds(parse_ok(
+        TOY + "phase Sad specializes Person\ninternal likes : Person [0..*] -- [0..*] Person\n"
+    ), scope)
     assert len(expected) > 3
     assert enumerate_worlds(grown, scope) == expected
 
@@ -933,7 +938,9 @@ def test_two_scopes_of_one_model_build_one_prep(preps):
         assert enumerate_worlds(model, unlimited(**per))
     assert preps == [model]
     taxonomy = {"_ancestor_map", "_descendant_map", "_relation_ends"}
-    assert set(model.__dict__) - set(parse_ok(SEVERITY).__dict__) - taxonomy == {"_world_prep"}
+    assert set(model.__dict__) - set(parse_ok(SEVERITY).__dict__) - taxonomy == {
+        "_rule_check", "_world_prep",
+    }
 
 
 # --- each query walks its own stream ------------------------------------------

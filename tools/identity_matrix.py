@@ -11,7 +11,10 @@ Prints the count of each exit code and one sha256 over every run's argv,
 exit code, stdout and stderr. Two checkouts that print the same digest gave
 byte-identical output in every run. A second line gives the same kind of
 sha256 over `check --format json` on each of the 6 models, so the rule
-catalog's output is pinned too; these 6 runs are not in the exit-code counts.
+catalog's output is pinned too. A third line does so for the README's
+`unpack` and `derive-cards` examples, each in `--format json` and `text`, so
+the unpack plan's JSON is pinned as well. Neither line's runs are in the
+exit-code counts.
 
     python3 tools/identity_matrix.py CHECKOUT_ROOT
 """
@@ -52,6 +55,12 @@ SCOPES = [
 COMMANDS = [
     ["simulate", "--format", "json", "--limit", "1000000000"],
     ["lint", "--format", "json"],
+]
+
+UNPACK = [
+    ["unpack", "examples/healthcare_plain.onto", "treatedBy",
+     "--relator", "Treatment", "--roles", "Patient,ProviderRole"],
+    ["derive-cards", "examples/healthcare_relator.onto", "Treatment"],
 ]
 
 CLI = "import sys; from ontounpack.cli import main; sys.exit(main())"
@@ -99,6 +108,9 @@ def main(argv: list[str]) -> int:
         print(f"exit {code}: {n}")
     print(f"sha256: {worlds}")
     print(f"check sha256: {checks}")
+    unpacks = digest_of(root, ([*args, "--format", fmt] for args in UNPACK
+                               for fmt in ("json", "text")), Counter())
+    print(f"unpack sha256: {unpacks}")
     return 0
 
 
