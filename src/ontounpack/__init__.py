@@ -21,7 +21,6 @@ from .core import (
     Stereotype,
     ViaQuality,
     identity_root,
-    new_model,
     rigidity,
     ultimate_kind,
     with_declarations,
@@ -76,7 +75,7 @@ __all__ = [
     # core
     "Classifier", "Derivation", "Direction", "GeneralizationSet", "Model",
     "Multiplicity", "QualitySpace", "RelationDecl", "RelationStereotype",
-    "SourceSpan", "Stereotype", "ViaQuality", "identity_root", "new_model",
+    "SourceSpan", "Stereotype", "ViaQuality", "identity_root",
     "rigidity", "ultimate_kind", "with_declarations",
     # errors
     "OntoError", "NoKindError", "AmbiguousKindError", "UnpackError",

@@ -462,10 +462,6 @@ def identity_root(model: Model, name: str) -> str | None:
     return None
 
 
-def new_model(name: str) -> Model:
-    return Model(name=name)
-
-
 def with_declarations(
     model: Model,
     *,
@@ -517,6 +513,5 @@ __all__ = [
     "rigidity",
     "ultimate_kind",
     "identity_root",
-    "new_model",
     "with_declarations",
 ]

@@ -10,12 +10,16 @@ AP2 UngroundedComparative — a comparative over an ordered space admits ties
 in scope; under the non-strict reading of its direction the relation stops
 being asymmetric.
 
-A structural match with a witness world is a Warning carrying the world; a
-structural match the scope cannot exhibit is an Info note.
+Every finding is a structural match. It is a Warning that carries the world
+showing the unintended reading, or, when the scope holds no such world, an
+Info with no world whose message ends "structurally matched, no in-scope
+witness".
 """
 from __future__ import annotations
 
-from .core import Model, RelationStereotype, Stereotype
+from itertools import combinations
+
+from .core import Model, RelationStereotype, SourceSpan, Stereotype
 from .errors import IllFormedModelError
 from .rules import Diagnostic, Severity, check, sort_key
 from .worlds import (
@@ -27,18 +31,25 @@ from .worlds import (
     find_witness,
 )
 
-_NO_WITNESS = "structurally matched, no in-scope witness"
+
+def _finding(rule_id: str, span: SourceSpan, found, warning: str, info: str,
+             related: tuple[str, ...] = ()) -> Diagnostic:
+    """A Warning when the search `found` (witness world, related names), else an Info."""
+    if found is None:
+        return Diagnostic(rule_id, Severity.INFO, span,
+                          f"{info}; structurally matched, no in-scope witness", related)
+    world, related = found
+    return Diagnostic(rule_id, Severity.WARNING, span, warning, related, witness=world)
 
 
 def _co_instantiable(model: Model, t1: str, t2: str) -> bool:
     """Can a single individual instantiate both types in some world?"""
-    for s1 in sorted(model.sortal_descendants_or_self(t1)):
+    for s1 in model.sortal_descendants_or_self(t1):
         k1 = model.kinds_reached(s1)
         if len(k1) != 1:
             continue
-        for s2 in sorted(model.sortal_descendants_or_self(t2)):
-            k2 = model.kinds_reached(s2)
-            if k1 != k2:
+        for s2 in model.sortal_descendants_or_self(t2):
+            if model.kinds_reached(s2) != k1:
                 continue
             joint = model.ancestors_or_self(s1) | model.ancestors_or_self(s2)
             blocked = any(
@@ -62,86 +73,46 @@ def _binding_relations(model: Model, owner: str):
 def _ap1(model: Model, scope: Scope) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     seen_pairs: set[tuple[str, str]] = set()
-    owners = sorted(
-        name for name, c in model.classifiers.items()
-        if c.stereotype in (Stereotype.RELATOR, Stereotype.EVENT)
-    )
-    for owner in owners:
-        bindings = _binding_relations(model, owner)
-        for i, m1 in enumerate(bindings):
-            for m2 in bindings[i + 1:]:
-                pair = (m1.name, m2.name)
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                if not _co_instantiable(model, m1.target, m2.target):
-                    continue
-                goal = Goal(
-                    typings=(("r", owner), ("x", m1.target), ("x", m2.target)),
-                    links=((m1.name, "r", "x"), (m2.name, "r", "x")),
-                )
-                witness = find_witness(model, scope, goal)
-                span = model.classifiers[owner].span
-                if witness is not None:
-                    out.append(Diagnostic(
-                        rule_id="AP1",
-                        severity=Severity.WARNING,
-                        span=span,
-                        message=(
-                            f"one individual can fill both '{m1.target}' and "
-                            f"'{m2.target}' of the same '{owner}' "
-                            f"(via {m1.name} and {m2.name})"
-                        ),
-                        related=pair,
-                        witness=witness,
-                    ))
-                else:
-                    out.append(Diagnostic(
-                        rule_id="AP1",
-                        severity=Severity.INFO,
-                        span=span,
-                        message=(
-                            f"'{m1.target}' and '{m2.target}' of '{owner}' could "
-                            f"overlap; {_NO_WITNESS}"
-                        ),
-                        related=pair,
-                    ))
+    for owner in sorted(name for name, c in model.classifiers.items()
+                        if c.stereotype in (Stereotype.RELATOR, Stereotype.EVENT)):
+        for m1, m2 in combinations(_binding_relations(model, owner), 2):
+            pair = (m1.name, m2.name)
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            if not _co_instantiable(model, m1.target, m2.target):
+                continue
+            goal = Goal(
+                typings=(("r", owner), ("x", m1.target), ("x", m2.target)),
+                links=((m1.name, "r", "x"), (m2.name, "r", "x")),
+            )
+            witness = find_witness(model, scope, goal)
+            out.append(_finding(
+                "AP1", model.classifiers[owner].span,
+                None if witness is None else (witness, pair),
+                f"one individual can fill both '{m1.target}' and '{m2.target}' of "
+                f"the same '{owner}' (via {m1.name} and {m2.name})",
+                f"'{m1.target}' and '{m2.target}' of '{owner}' could overlap",
+                related=pair,
+            ))
     return out
 
 
 def _ap2(model: Model, scope: Scope) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for rel in sorted(model.relations.values(), key=lambda r: r.name):
-        # R9 has refused comparatives without an ordered grounding before this runs
-        if rel.stereotype is not RelationStereotype.COMPARATIVE:
-            continue
-        report = check_metaproperties(
-            model, rel.name, scope, strict=False, properties=("asymmetric",)
+    # R9 has refused comparatives without an ordered grounding before this runs
+    return [
+        _finding(
+            "AP2", rel.span,
+            check_metaproperties(
+                model, rel.name, scope, strict=False, properties=("asymmetric",)
+            ).counterexample("asymmetric"),
+            f"comparative '{rel.name}' admits ties in scope: under the "
+            f"non-strict reading of its direction, asymmetry fails",
+            f"comparative '{rel.name}' shows no tie configuration",
         )
-        if not report.asymmetric:
-            world, ids = report.counterexample("asymmetric")
-            out.append(Diagnostic(
-                rule_id="AP2",
-                severity=Severity.WARNING,
-                span=rel.span,
-                message=(
-                    f"comparative '{rel.name}' admits ties in scope: under the "
-                    f"non-strict reading of its direction, asymmetry fails"
-                ),
-                related=ids,
-                witness=world,
-            ))
-        else:
-            out.append(Diagnostic(
-                rule_id="AP2",
-                severity=Severity.INFO,
-                span=rel.span,
-                message=(
-                    f"comparative '{rel.name}' shows no tie configuration; "
-                    f"{_NO_WITNESS}"
-                ),
-            ))
-    return out
+        for rel in sorted(model.relations.values(), key=lambda r: r.name)
+        if rel.stereotype is RelationStereotype.COMPARATIVE
+    ]
 
 
 def lint(model: Model, scope: Scope | None = None) -> list[Diagnostic]:

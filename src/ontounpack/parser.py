@@ -57,13 +57,6 @@ class ParseError:
         hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
         return f"{self.span.line}:{self.span.column}: {self.message}{hint}"
 
-    def to_dict(self) -> dict:
-        return {
-            "span": self.span.to_dict(),
-            "message": self.message,
-            "expected": list(self.expected),
-        }
-
 
 class _Token(NamedTuple):
     kind: str  # IDENT INT KEYWORD PUNCT EOF
@@ -542,6 +535,9 @@ def _resolve(
         elif rs.ordered is not None and rs.ordered[0] > rs.ordered[1]:
             lo, hi = rs.ordered
             message = f"ordered space of '{rs.owner}': upper bound {hi} is below lower bound {lo}"
+        elif rs.labels is not None and not rs.labels:
+            # the DSL cannot spell `{}`, and a required value would have none to take
+            message = f"nominal space of '{rs.owner}' needs at least one label"
         elif rs.labels is not None and len(set(rs.labels)) != len(rs.labels):
             message = f"nominal labels of '{rs.owner}' must be distinct"
         else:

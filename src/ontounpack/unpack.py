@@ -76,11 +76,13 @@ def unpack_material(
 ) -> UnpackPlan:
     """Relator-pattern rewrite: make the truthmaker of a material relation explicit.
 
-    Introduces a relator, a role per end (reusing an end that already is one),
-    mediations with relator-side [1..*] and mediated-side [1..1], and records
-    the derivation. The relation's ends move onto the roles, so its bounds
-    constrain only those who play them. Widening the generated multiplicities
-    afterwards is the modeler's call.
+    Introduces a relator, a role per end, mediations with relator-side [1..*]
+    and mediated-side [1..1], and records the derivation. An end that already
+    is a role is reused when the two ends differ; when both ends are one
+    classifier, each end gets its own new role from `role_names`. The
+    relation's ends move onto the roles, so its bounds constrain only those
+    who play them. Widening the generated multiplicities afterwards is the
+    modeler's call.
     """
     rel = model.relations.get(relation)
     if rel is None:
@@ -98,7 +100,7 @@ def unpack_material(
     new_relations: list[RelationDecl] = []
     roles: list[str] = []
     for end, proposed in zip((rel.source, rel.target), role_names):
-        if model.classifiers[end].stereotype in ROLE_FAMILY:
+        if rel.source != rel.target and model.classifiers[end].stereotype in ROLE_FAMILY:
             role = end  # the end already names the mediated role
         else:
             _claim(proposed, taken)

@@ -108,6 +108,15 @@ def test_missing_file_exits_2(capsys):
     assert "nope.onto" in err
 
 
+def test_unreadable_file_exits_2(capsys, monkeypatch):
+    def refuse(self):
+        raise PermissionError("Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    code, out, err = run(capsys, "check", RELATOR)
+    assert (code, out, err) == (2, "", f"cannot read {RELATOR}: Permission denied\n")
+
+
 # --- unpack ------------------------------------------------------------------
 
 
@@ -143,6 +152,31 @@ def test_unpack_domain_error_exits_2(capsys):
     )
     assert code == 2
     assert "already derived" in err
+
+
+def test_unpack_of_one_role_at_both_ends_gives_each_end_a_new_role(capsys, tmp_path):
+    src = tmp_path / "refers.onto"
+    src.write_text("model T\n\nkind Person\nrole Client specializes Person\n"
+                   "material refers : Client [0..*] -- [0..*] Client\n")
+    code, out, err = run(capsys, "unpack", str(src), "refers",
+                         "--relator", "Referral", "--roles", "A,B", "--format", "text")
+    assert (code, err) == (0, "")
+    assert "role A specializes Client\nrole B specializes Client\n" in out
+    assert "mediation mediatesA : Referral [1..*] -- [1..1] A\n" in out
+    assert "mediation mediatesB : Referral [1..*] -- [1..1] B\n" in out
+    assert "material refers : A [0..*] -- [0..*] B derivedFrom Referral [1..*]\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("treatedBy", "--quality", "Badness"), "unpack --quality also needs --space LO..HI"),
+    (("treatedBy",), "unpack needs --relator NAME --roles A,B "
+                     "(or --quality/--space/--direction for the comparative form)"),
+    (("treatedBy", "--relator", "Treatment", "--roles", "A"),
+     "--roles wants exactly two names, got 'A'"),
+], ids=["quality_without_space", "no_relator_or_roles", "one_role"])
+def test_unpack_refuses_incomplete_options(capsys, argv, message):
+    code, out, err = run(capsys, "unpack", PLAIN, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_unpack_comparative_form(capsys):
@@ -400,6 +434,12 @@ def test_lint_without_queries_refuses_a_bad_scope_like_simulate(capsys, tmp_path
 def test_bad_scope_grammar_exits_2(capsys):
     code, out, err = run(capsys, "simulate", RELATOR, "--scope", "Person=two")
     assert code == 2
+
+
+def test_quality_values_without_braces_exit_2(capsys):
+    code, out, err = run(capsys, "simulate", RELATOR, "--quality-values", "Severity=3")
+    assert (code, out) == (2, "")
+    assert err == "bad --quality-values 'Severity=3' (expected Name={v1,v2,...})\n"
 
 
 def test_non_ascii_digits_exit_2(capsys, tmp_path):

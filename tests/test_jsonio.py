@@ -383,6 +383,35 @@ def test_json_names_must_be_dsl_identifiers(document, message):
     assert err.message == message
 
 
+def test_nominal_space_without_labels_is_refused():
+    # the DSL cannot spell `{}`, and a required Mood would have no value to take
+    document = json_doc(cls("Mood", "quality"), spaces=[nominal("Mood")])
+    err = load_json(json.dumps(document).encode())
+    assert isinstance(err, ParseError)
+    assert err.message == "nominal space of 'Mood' needs at least one label"
+
+
+def material_with_source_mult(mult):
+    return json_doc(cls("A"), cls("B"), relations=[rel("r", "material", "A", "B", (mult, ONE))])
+
+
+@pytest.mark.parametrize("document, message", [
+    (json_doc(cls("A", "kind", 1)), "classifiers[0].parents[0]: expected string"),
+    (material_with_source_mult(3), "relations[0].sourceMult: expected multiplicity object"),
+    (material_with_source_mult({"min": 1, "max": "many"}),
+     'relations[0].sourceMult.max: expected integer or "*"'),
+    (material_with_source_mult({"min": -1, "max": 1}),
+     "relations[0].sourceMult: multiplicity min must be >= 0, got -1"),
+    (json_doc(cls("Q", "quality"), spaces=[{"owner": "Q", "kind": "interval"}]),
+     "qualitySpaces[0].kind: expected 'ordered' or 'nominal'"),
+], ids=["parent_not_a_string", "multiplicity_not_an_object", "max_not_a_bound",
+        "negative_min", "space_kind"])
+def test_json_shape_errors_name_their_path(document, message):
+    err = load_json(json.dumps(document).encode())
+    assert isinstance(err, ParseError)
+    assert err.message == message
+
+
 # --- load_json is total ----------------------------------------------------------
 
 JSON_VALUES = st.recursive(

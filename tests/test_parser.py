@@ -151,10 +151,15 @@ def test_integer_too_long_to_convert_is_a_parse_error(text):
     ("model T\n\nkind A\nkind B\nmaterial r : A [1..?] -- [1..1] B\n",
      ["5:20: illegal character '?'", "5:21: found ']' (expected integer, '*')"]),
     ("model T\n\nquality Q\nspace Q ordered 0 9\n", ["4:19: found '9' (expected '..')"]),
+    ("model T\n\nquality Q\nspace Q between 0..5\n",
+     ["4:9: found 'between' (expected 'ordered', 'nominal')"]),
+    ("model T\n\nkind A\nkind B\nmaterial r : A [0..0] -- [1..1] B\n",
+     ["5:16: multiplicity max must be >= 1, got 0"]),
     ("model T\n\nmode M\nquality Q\nspace Q ordered 0..9\n"
      "characterization h : Q [1..1] -- [1..1] M\ncomparative c : M -- M via Q up\n",
      ["7:30: found 'up' (expected 'asc', 'desc')"]),
-], ids=["card_dotdot", "dashdash", "card_max", "space_dotdot", "direction"])
+], ids=["card_dotdot", "dashdash", "card_max", "space_dotdot", "space_kind", "card_max_zero",
+        "direction"])
 def test_punctuation_and_direction_errors(text, errors):
     assert [str(e) for e in parse_text(text)] == errors
 

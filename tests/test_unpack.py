@@ -170,6 +170,31 @@ def test_unpack_material_reuses_existing_role():
     assert check(after) == []
 
 
+SELF_REFERRAL = (
+    "model T\n\nkind Person\nrole Client specializes Person\n"
+    "material refers : Client [0..*] -- [0..*] Client\n"
+)
+
+
+def test_unpack_material_gives_one_role_at_both_ends_a_new_role_per_end():
+    m = parse_ok(SELF_REFERRAL)
+    plan = unpack_material(m, "refers", relator_name="Referral", role_names=("A", "B"))
+    assert [(c.name, c.stereotype, c.parents) for c in plan.new_classifiers] == [
+        ("Referral", Stereotype.RELATOR, ()),
+        ("A", Stereotype.ROLE, ("Client",)),
+        ("B", Stereotype.ROLE, ("Client",)),
+    ]
+    assert [(r.name, r.target) for r in plan.new_relations] == [
+        ("mediatesA", "A"), ("mediatesB", "B"),
+    ]
+    refers = plan.relation
+    assert (refers.source, refers.target, refers.derived_from.relator) == ("A", "B", "Referral")
+    # only the R4 Error the input already had on Client, which no relator justifies
+    before = [(d.rule_id, d.related) for d in check(m)]
+    after = [(d.rule_id, d.related) for d in check(apply_plan(m, plan))]
+    assert after == [d for d in before if d[0] == "R4"] != []
+
+
 def test_unpack_material_error_paths(relator_model, plain_model):
     with pytest.raises(NotMaterialError):
         unpack_material(relator_model, "involvesPatient",

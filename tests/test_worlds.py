@@ -324,6 +324,30 @@ def test_eval_comparative_requires_mandatory_values():
         eval_comparative(stripped, m, "moreSevereThan")
 
 
+def test_eval_comparative_requires_mandatory_values_through_the_mode():
+    # a Person's Severity is read off its conditions, each of which needs one
+    m = parse_ok(SEVERITY)
+    w = _severity_world(c0=("p1", 7))
+    stripped = InstanceWorld(w.individuals, w.type_rows, w.links, ())
+    with pytest.raises(MissingQualityValueError, match="^'c0' lacks a value for 'Severity'$"):
+        eval_comparative(stripped, m, "moreSeriousThan")
+
+
+def test_eval_comparative_refuses_a_non_comparative():
+    w = _severity_world(c0=("p1", 7))
+    with pytest.raises(ValueError, match="^'hasCondition' is not a grounded comparative"):
+        eval_comparative(w, parse_ok(SEVERITY), "hasCondition")
+
+
+def test_eval_comparative_refuses_a_quality_without_an_ordered_space():
+    # R9 refuses such a model, but eval_comparative does not rely on it
+    m = parse_ok(SEVERITY.replace("ordered 0..100", "nominal {low, high}"))
+    w = _severity_world(c0=("p1", 7))
+    with pytest.raises(ValueError, match="^quality 'Severity' of 'moreSevereThan' has no "
+                                         "ordered space$"):
+        eval_comparative(w, m, "moreSevereThan")
+
+
 def test_tie_semantics():
     m = parse_ok(SEVERITY)
     w = _severity_world(c0=("p1", 4), c1=("p2", 4))

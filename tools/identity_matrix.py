@@ -16,6 +16,9 @@ catalog's output is pinned too. A third line does so for the README's
 the unpack plan's JSON is pinned as well. Neither line's runs are in the
 exit-code counts.
 
+`tools/identity_matrix.expected` holds the output for this checkout; CI
+diffs a run against it, so a change to any run's output updates that file.
+
     python3 tools/identity_matrix.py CHECKOUT_ROOT
 """
 from __future__ import annotations
